@@ -17,7 +17,6 @@ from .core import (
     SIDE_Y,
     SwapOrder,
     apply_swap,
-    canonicalize_direction,
     classify_swap,
     cpmm_out,
     gmm_out,

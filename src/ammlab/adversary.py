@@ -138,35 +138,19 @@ def sandwich_profit_gmm_closed(x_i: Num, x_global: Num, victim_dx: Num, attack_d
 
 
 def sandwich_profit_beta(x_i: Num, beta: Num, victim_dx: Num, attack_dx: Num) -> Num:
-    """Sandwich profit when outside pools hold ``beta`` times this pool's reserves.
-
-    Sizes are normalized by the pool's own reserve ``x_i``; identical to
-    :func:`sandwich_profit_gmm_closed` with global reserves ``(1+beta)*x_i``.
-    """
+    """Sandwich profit when outside pools hold ``beta`` times this pool's reserves:
+    :func:`sandwich_profit_gmm_closed` with global reserves ``(1+beta)*x_i``."""
     if beta < 0:
         raise DomainError("reserve multiple must be nonnegative")
-    if not x_i > 0:
-        raise DomainError("reserve must be strictly positive")
-    d = victim_dx / x_i
-    dh = attack_dx / x_i
-    t = 1 + d + dh
-    return ((1 + (d + dh) / (1 + beta)) * t / ((1 + dh) * t - d / (1 + beta)) - 1) * attack_dx
+    return sandwich_profit_gmm_closed(x_i, (1 + beta) * x_i, victim_dx, attack_dx)
 
 
 def sandwich_profit_nsplit(x_global: Num, n: int, victim_dx: Num, attack_dx: Num) -> Num:
-    """Sandwich profit when ``x_global`` is evenly split across ``n`` pools.
-
-    Here sizes are normalized by the *global* reserve; identical to
-    :func:`sandwich_profit_gmm_closed` with ``x_i = x_global / n``.
-    """
-    if not (isinstance(n, int) and n >= 1):
+    """Sandwich profit when ``x_global`` is evenly split across ``n`` pools:
+    :func:`sandwich_profit_gmm_closed` with ``x_i = x_global / n``."""
+    if not (type(n) is int and n >= 1):  # bool is an int subclass, not a count
         raise DomainError("split count must be a positive integer")
-    if not x_global > 0:
-        raise DomainError("reserve must be strictly positive")
-    d = victim_dx / x_global
-    dh = attack_dx / x_global
-    t = 1 + d + dh
-    return (t * (1 + n * d + n * dh) / ((1 + n * dh) * (1 + n * d + n * dh) - d) - 1) * attack_dx
+    return sandwich_profit_gmm_closed(x_global / n, x_global, victim_dx, attack_dx)
 
 
 def _float_ecosystem(eco: Ecosystem) -> Ecosystem:

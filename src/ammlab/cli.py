@@ -31,7 +31,7 @@ from .core import (
     SwapOrder,
     quote_order,
 )
-from .rebalance import gmm_rebal_quote, rebalance_pools
+from .rebalance import gmm_rebal_transfers
 from .replay import (
     LogFormatError,
     ScenarioConfig,
@@ -39,6 +39,10 @@ from .replay import (
     parse_log,
     run_counterfactual,
 )
+
+
+#: Most points one sweep range may hold; the figure script's largest is 256.
+MAX_SWEEP_POINTS = 100_000
 
 
 def _quiet() -> bool:
@@ -63,14 +67,12 @@ def _parse_range(text: str) -> List[Fraction]:
         lo, hi, step = Fraction(lo_s), Fraction(hi_s), Fraction(step_s)
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"bad range {text!r}, expected lo:hi:step") from None
-    if step <= 0:
+    if step <= 0 or hi < lo:
         return []
-    values = []
-    cur = lo
-    while cur <= hi:
-        values.append(cur)
-        cur += step
-    return values
+    count = (hi - lo) // step + 1
+    if count > MAX_SWEEP_POINTS:
+        raise DomainError(f"range {text!r} has {count} points, more than {MAX_SWEEP_POINTS}")
+    return [lo + k * step for k in range(count)]
 
 
 def _write_csv(path: Optional[str], header: List[str], rows) -> None:
@@ -99,10 +101,8 @@ def cmd_quote(args) -> int:
     if alg is Algorithm.GMM_REBAL:
         work = eco if order.side == SIDE_X else eco.relabeled()
         if amount > 0:
-            before = work
-            work, quote = gmm_rebal_quote(amount, work, pool_id, force_trigger=args.force_trigger)
-            if work is not before and not _quiet():
-                _, transfers = rebalance_pools(before, pool_id)
+            _, quote, transfers = gmm_rebal_transfers(amount, work, pool_id, args.force_trigger)
+            if not _quiet():
                 for t in transfers:
                     print(f"transfer: {t.from_pool} -> {t.to_pool} "
                           f"amount={float(t.amount_x):.2f} received={float(t.amount_y_received):.2f}")

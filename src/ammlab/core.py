@@ -17,10 +17,10 @@ path); each function preserves whichever flavor it is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 Num = Union[int, float, Fraction]
 
@@ -93,16 +93,27 @@ class PoolState:
 
 @dataclass(frozen=True)
 class Ecosystem:
-    """Ordered collection of pools with unique ids."""
+    """Ordered collection of pools with unique ids.
+
+    The aggregates ``total_x``/``total_y`` (summed in pool order) and the
+    id-to-index map are computed once at construction; they take no part in
+    equality, hashing or ``repr``.
+    """
 
     pools: Tuple[PoolState, ...]
+    total_x: Num = field(init=False, repr=False, compare=False)
+    total_y: Num = field(init=False, repr=False, compare=False)
+    _index: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.pools:
             raise DomainError("an ecosystem needs at least one pool")
-        ids = [p.pool_id for p in self.pools]
-        if len(set(ids)) != len(ids):
-            raise DomainError(f"duplicate pool ids: {ids}")
+        index = {p.pool_id: i for i, p in enumerate(self.pools)}
+        if len(index) != len(self.pools):
+            raise DomainError(f"duplicate pool ids: {[p.pool_id for p in self.pools]}")
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "total_x", sum(p.x for p in self.pools))
+        object.__setattr__(self, "total_y", sum(p.y for p in self.pools))
 
     @classmethod
     def from_reserves(
@@ -114,21 +125,13 @@ class Ecosystem:
         return cls(tuple(PoolState(pid, x, y) for pid, (x, y) in zip(ids, pairs)))
 
     def index_of(self, pool_id: str) -> int:
-        for i, p in enumerate(self.pools):
-            if p.pool_id == pool_id:
-                return i
-        raise DomainError(f"no pool {pool_id!r} in ecosystem")
+        idx = self._index.get(pool_id)
+        if idx is None:
+            raise DomainError(f"no pool {pool_id!r} in ecosystem")
+        return idx
 
     def pool(self, pool_id: str) -> PoolState:
         return self.pools[self.index_of(pool_id)]
-
-    @property
-    def total_x(self) -> Num:
-        return sum(p.x for p in self.pools)
-
-    @property
-    def total_y(self) -> Num:
-        return sum(p.y for p in self.pools)
 
     @property
     def ratio(self) -> Num:
@@ -143,9 +146,7 @@ class Ecosystem:
 
     def with_pool(self, pool: PoolState) -> "Ecosystem":
         idx = self.index_of(pool.pool_id)
-        pools = list(self.pools)
-        pools[idx] = pool
-        return Ecosystem(tuple(pools))
+        return Ecosystem(self.pools[:idx] + (pool,) + self.pools[idx + 1:])
 
     def relabeled(self) -> "Ecosystem":
         return Ecosystem(tuple(p.relabeled() for p in self.pools))
@@ -190,14 +191,46 @@ def cpmm_out(dx: Num, x_i: Num, y_i: Num) -> Num:
     return y_i * dx / (x_i + dx)
 
 
+def _quote(dx: Num, x_i: Num, y_i: Num, total_x: Num, total_y: Num, alg: Algorithm) -> Quote:
+    """Price ``dx`` of X sent to a pool holding ``(x_i, y_i)`` in an ecosystem
+    with aggregates ``(total_x, total_y)``.  Send-Y orders pass every pair
+    swapped.
+
+    The local and naive-global outputs and the classification are each
+    computed once.  A single pool has an empty complement, so it classifies
+    divergent.
+    """
+    local = cpmm_out(dx, x_i, y_i)
+    raw = total_y * dx / (total_x + dx)
+    naive = raw if raw < y_i else y_i
+    # r_i <= r_rest, cross-multiplied (all positive)
+    if y_i * (total_x - x_i) <= (total_y - y_i) * x_i:
+        classification = DIVERGENT
+    elif naive <= local:
+        classification = CONVERGENT
+    else:
+        classification = OVERSHOOTING
+    if alg is Algorithm.GMM:  # the global rule takes the lesser output
+        alg = Algorithm.NGMM if classification == CONVERGENT else Algorithm.CPMM
+    if alg is Algorithm.CPMM:
+        return Quote(local, BRANCH_CPMM, classification)
+    if alg is Algorithm.NGMM:
+        return Quote(naive, BRANCH_NGMM, classification)
+    raise DomainError(f"unsupported algorithm {alg}")
+
+
+def _send_x_view(eco: Ecosystem, pool: PoolState, side: str) -> Tuple[Num, Num, Num, Num]:
+    """``(x_i, y_i, total_x, total_y)`` of ``pool`` as seen by a send-X order."""
+    if side == SIDE_X:
+        return pool.x, pool.y, eco.total_x, eco.total_y
+    return pool.y, pool.x, eco.total_y, eco.total_x
+
+
 def ngmm_out(dx: Num, eco: Ecosystem, pool_id: str) -> Num:
     """Naive global output: constant-product formula on aggregate reserves,
     capped at the target pool's holdings of the paid asset."""
-    if dx < 0:
-        raise DomainError("swap amount must be nonnegative")
     pool = eco.pool(pool_id)
-    raw = eco.total_y * dx / (eco.total_x + dx)
-    return raw if raw < pool.y else pool.y
+    return _quote(dx, pool.x, pool.y, eco.total_x, eco.total_y, Algorithm.NGMM).amount_out
 
 
 def classify_swap(dx: Num, eco: Ecosystem, pool_id: str) -> str:
@@ -209,17 +242,7 @@ def classify_swap(dx: Num, eco: Ecosystem, pool_id: str) -> str:
     one, and overshooting past that point.  A single-pool ecosystem is
     divergent by convention (aggregates coincide with the pool).
     """
-    pool = eco.pool(pool_id)
-    if len(eco.pools) == 1:
-        return DIVERGENT
-    comp_x = eco.complement_x(pool_id)
-    comp_y = eco.complement_y(pool_id)
-    # r_i <= r_rest, cross-multiplied (all positive)
-    if pool.y * comp_x <= comp_y * pool.x:
-        return DIVERGENT
-    if ngmm_out(dx, eco, pool_id) <= cpmm_out(dx, pool.x, pool.y):
-        return CONVERGENT
-    return OVERSHOOTING
+    return gmm_out(dx, eco, pool_id).classification
 
 
 def gmm_out(dx: Num, eco: Ecosystem, pool_id: str) -> Quote:
@@ -229,43 +252,19 @@ def gmm_out(dx: Num, eco: Ecosystem, pool_id: str) -> Quote:
     convergent (ties classify convergent: the two prices coincide).
     """
     pool = eco.pool(pool_id)
-    classification = classify_swap(dx, eco, pool_id)
-    if classification == CONVERGENT:
-        return Quote(ngmm_out(dx, eco, pool_id), BRANCH_NGMM, classification)
-    return Quote(cpmm_out(dx, pool.x, pool.y), BRANCH_CPMM, classification)
-
-
-def canonicalize_direction(order: SwapOrder, pool: PoolState) -> Tuple[SwapOrder, bool]:
-    """Rewrite a send-Y order as a send-X order on the label-swapped pool.
-
-    Returns ``(order, relabeled)``; the caller pairs a set flag with
-    ``pool.relabeled()`` and un-relabels outputs.  Idempotent on send-X
-    orders.
-    """
-    if order.side == SIDE_X:
-        return order, False
-    return replace(order, side=SIDE_X), True
+    return _quote(dx, pool.x, pool.y, eco.total_x, eco.total_y, Algorithm.GMM)
 
 
 def quote_order(eco: Ecosystem, order: SwapOrder, alg: Algorithm) -> Quote:
     """Price an order under ``alg`` without changing state.
 
-    Send-Y orders are priced on the relabeled ecosystem; the scalar output
-    needs no un-relabeling.
+    A send-Y order is priced as send-X with the asset labels swapped; the
+    scalar output needs no un-relabeling.
     """
     if alg is Algorithm.GMM_REBAL:
         raise DomainError("rebalancing quotes live in the rebalance module")
-    work = eco if order.side == SIDE_X else eco.relabeled()
-    dx = order.amount_in
-    classification = classify_swap(dx, work, order.pool_id)
-    if alg is Algorithm.GMM:
-        return gmm_out(dx, work, order.pool_id)
-    if alg is Algorithm.CPMM:
-        pool = work.pool(order.pool_id)
-        return Quote(cpmm_out(dx, pool.x, pool.y), BRANCH_CPMM, classification)
-    if alg is Algorithm.NGMM:
-        return Quote(ngmm_out(dx, work, order.pool_id), BRANCH_NGMM, classification)
-    raise DomainError(f"unsupported algorithm {alg}")
+    view = _send_x_view(eco, eco.pool(order.pool_id), order.side)
+    return _quote(order.amount_in, *view, alg)
 
 
 def apply_swap(eco: Ecosystem, order: SwapOrder, alg: Algorithm) -> Tuple[Ecosystem, Num]:
@@ -278,21 +277,22 @@ def apply_swap(eco: Ecosystem, order: SwapOrder, alg: Algorithm) -> Tuple[Ecosys
     """
     if alg is Algorithm.GMM_REBAL:
         raise DomainError("apply rebalancing swaps via the rebalance module")
-    if order.amount_in == 0:
-        eco.index_of(order.pool_id)  # still validate the target
+    idx = eco.index_of(order.pool_id)
+    dx = order.amount_in
+    if dx == 0:
         return eco, 0
-    if order.side == SIDE_Y:
-        flipped, _ = canonicalize_direction(order, eco.pool(order.pool_id))
-        new_eco, out = apply_swap(eco.relabeled(), flipped, alg)
-        return new_eco.relabeled(), out
-    out = quote_order(eco, order, alg).amount_out
-    pool = eco.pool(order.pool_id)
-    if out >= pool.y:
+    pool = eco.pools[idx]
+    x_i, y_i, total_x, total_y = _send_x_view(eco, pool, order.side)
+    out = _quote(dx, x_i, y_i, total_x, total_y, alg).amount_out
+    if out >= y_i:
         raise ReserveDepletionError(
-            f"swap would drain pool {order.pool_id!r}: out={out} >= reserve={pool.y}"
+            f"swap would drain pool {order.pool_id!r}: out={out} >= reserve={y_i}"
         )
-    new_pool = PoolState(pool.pool_id, pool.x + order.amount_in, pool.y - out)
-    return eco.with_pool(new_pool), out
+    if order.side == SIDE_X:
+        new_pool = PoolState(pool.pool_id, pool.x + dx, pool.y - out)
+    else:
+        new_pool = PoolState(pool.pool_id, pool.x - out, pool.y + dx)
+    return Ecosystem(eco.pools[:idx] + (new_pool,) + eco.pools[idx + 1:]), out
 
 
 def pool_value(pool: PoolState, price: Num) -> Num:

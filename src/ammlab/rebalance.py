@@ -212,13 +212,25 @@ def gmm_rebal_quote(
     is returned.  ``force_trigger`` skips the checks (the guard conditions
     and several worked scenarios disagree, so the trigger is explicit).
     Returns the (possibly rebalanced) ecosystem and the final quote; the
-    transfer trace is available from :func:`rebalance_pools`.
+    transfer trace is available from :func:`gmm_rebal_transfers`.
     """
+    work, quote, _ = gmm_rebal_transfers(dx, eco, pool_id, force_trigger)
+    return work, quote
+
+
+def gmm_rebal_transfers(
+    dx: Num,
+    eco: Ecosystem,
+    pool_id: str,
+    force_trigger: bool = False,
+) -> Tuple[Ecosystem, Quote, Tuple[RebalanceTransfer, ...]]:
+    """:func:`gmm_rebal_quote` plus the transfers rebalancing made (none
+    when it did not engage)."""
     if not dx > 0:
         raise DomainError("order size must be positive")
     eco.index_of(pool_id)
     if force_trigger or _definition_conditions(dx, eco, pool_id):
-        work, _ = rebalance_pools(eco, pool_id)
+        work, transfers = rebalance_pools(eco, pool_id)
     else:
-        work = eco
-    return work, gmm_out(dx, work, pool_id)
+        work, transfers = eco, ()
+    return work, gmm_out(dx, work, pool_id), transfers

@@ -96,7 +96,6 @@ class ScenarioConfig:
     external_reserve_multiple: Optional[Union[Fraction, float]] = None
     split_count: Optional[int] = None
     arithmetic: str = "rational"
-    seed: int = 0
 
     def __post_init__(self):
         if self.algorithm not in (Algorithm.CPMM, Algorithm.GMM):
@@ -109,7 +108,8 @@ class ScenarioConfig:
             raise DomainError("gmm scenarios need exactly one of reserve multiple / split count")
         if has_beta and self.external_reserve_multiple < 0:
             raise DomainError("reserve multiple must be nonnegative")
-        if has_n and (not isinstance(self.split_count, int) or self.split_count < 1):
+        # exactly int: a JSON true is a bool, which Python counts as an int
+        if has_n and (type(self.split_count) is not int or self.split_count < 1):
             raise DomainError("split count must be a positive integer")
         if self.arithmetic not in ("rational", "float64"):
             raise DomainError("arithmetic must be 'rational' or 'float64'")
@@ -117,17 +117,20 @@ class ScenarioConfig:
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise DomainError("scenario must be a JSON object")
+        if not isinstance(raw.get("algorithm"), str):
+            raise DomainError("scenario needs an \"algorithm\" string")
         beta = raw.get("external_reserve_multiple")
-        if isinstance(beta, str):
-            beta = Fraction(beta)
-        elif isinstance(beta, (int, float)) and beta is not None:
+        if not isinstance(beta, (str, int, float, type(None))):
+            raise DomainError("reserve multiple must be a number or a decimal string")
+        if beta is not None:
             beta = Fraction(str(beta))
         return cls(
             algorithm=Algorithm.parse(raw["algorithm"]),
             external_reserve_multiple=beta,
             split_count=raw.get("split_count"),
             arithmetic=raw.get("arithmetic", "rational"),
-            seed=int(raw.get("seed", 0)),
         )
 
 
@@ -192,10 +195,6 @@ def _read_text(source) -> str:
         return fh.read().decode("utf-8")
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def parse_log(source, backrun_match_rtol: Num = BACKRUN_MATCH_RTOL) -> List[ReplayRecord]:
     """Parse and validate a swap log; returns records sorted as given.
 
@@ -236,11 +235,11 @@ def parse_log(source, backrun_match_rtol: Num = BACKRUN_MATCH_RTOL) -> List[Repl
             errors.append((offset, "attack_id must be set exactly for attack roles"))
             continue
         try:
-            amount = _parse_fraction(amount_s)
-            rx = _parse_fraction(rx_s)
-            ry = _parse_fraction(ry_s)
-            px = _parse_fraction(px_s) if px_s else None
-            py = _parse_fraction(py_s) if py_s else None
+            amount = Fraction(amount_s)
+            rx = Fraction(rx_s)
+            ry = Fraction(ry_s)
+            px = Fraction(px_s) if px_s else None
+            py = Fraction(py_s) if py_s else None
         except (ValueError, ZeroDivisionError):
             errors.append((offset, "non-decimal amount, reserve or price"))
             continue

@@ -35,7 +35,7 @@ from .core import (
     gmm_out,
     pool_value,
 )
-from .rebalance import gmm_rebal_quote, rebalance_pools
+from .rebalance import gmm_rebal_transfers
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,8 @@ def part7(_: Optional[Algorithm] = None) -> List[Check]:
     eco2 = Ecosystem.from_reserves(
         [(Fraction(90), Fraction(440_000)), (Fraction(210), Fraction(760_000))]
     )
-    rebalanced, transfers = rebalance_pools(eco2, "amm2")
+    rebalanced, quote, transfers = gmm_rebal_transfers(Fraction(1), eco2, "amm2",
+                                                       force_trigger=True)
     checks.append(truthy("single internal transfer", len(transfers) == 1))
     checks.append(exact("transfer sends 10 ETH", Fraction(10), transfers[0].amount_x))
     checks.append(exact("transfer priced at 40000 UST", Fraction(40_000),
@@ -232,7 +233,6 @@ def part7(_: Optional[Algorithm] = None) -> List[Check]:
         tuple((p.x, p.y) for p in rebalanced.pools)
         == ((Fraction(100), Fraction(400_000)), (Fraction(200), Fraction(800_000))),
     ))
-    _, quote = gmm_rebal_quote(Fraction(1), eco2, "amm2", force_trigger=True)
     checks.append(approx("trader quote (UST)", 3980.10, quote.amount_out, atol=0.01))
     return checks
 

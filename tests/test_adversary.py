@@ -154,8 +154,9 @@ class TestClosedForms:
         )
         profits = [sandwich_profit_nsplit(F(800_000), n, F(40_000), F(60_000)) for n in range(1, 8)]
         assert all(a > b for a, b in zip(profits, profits[1:]))
-        with pytest.raises(DomainError):
-            sandwich_profit_nsplit(F(800_000), 0, F(1), F(1))
+        for bad_n in (0, True):
+            with pytest.raises(DomainError):
+                sandwich_profit_nsplit(F(800_000), bad_n, F(1), F(1))
 
     @given(x_i=reserves, extra=st.fractions(F(1), F(10**7), max_denominator=10),
            victim=sizes, attack=st.fractions(F(1), F(300_000), max_denominator=10**3))

@@ -121,6 +121,14 @@ class TestSweep:
         assert rc == 2
         assert "empty" in err
 
+    def test_oversized_range_fails_fast(self, capsys):
+        # about 1e9 points: rejected from lo:hi:step before any is built
+        rc, _, err = run(capsys, [
+            "sweep", "il", "--ratio-range", "0.001:1000000:0.001",
+        ])
+        assert rc == 1
+        assert err.startswith("error:")
+
     def test_byte_determinism(self, capsys, tmp_path):
         args = ["sweep", "mev", "--xi", "400000", "--victim", "40000",
                 "--range", "0:50000:500", "--algorithm", "cpmm"]
@@ -219,6 +227,14 @@ class TestReplay:
         rc, _, err = run(capsys, ["replay", "--log", str(log), "--config", str(cfg)])
         assert rc == 1
         assert "line 4" in err
+
+    @pytest.mark.parametrize("config", [[], {}, {"algorithm": "gmm", "split_count": True}])
+    def test_malformed_config_is_domain_error(self, capsys, tmp_path, config):
+        log, cfg = self.write_inputs(tmp_path, config)
+        rc, out, err = run(capsys, ["replay", "--log", str(log), "--config", str(cfg)])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_missing_config_without_il(self, capsys, tmp_path):
         log = tmp_path / "log.csv"

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ammlab.core import (
@@ -20,7 +20,6 @@ from ammlab.core import (
     SIDE_Y,
     SwapOrder,
     apply_swap,
-    canonicalize_direction,
     classify_swap,
     cpmm_out,
     gmm_out,
@@ -196,45 +195,35 @@ class TestApplySwap:
         with pytest.raises(ReserveDepletionError):
             apply_swap(eco, SwapOrder("amm1", SIDE_X, F(10)), Algorithm.NGMM)
 
-
-class TestCanonicalize:
-    def test_send_y_rewritten(self):
-        pool = PoolState("p", F(100), F(400_000))
-        order = SwapOrder("p", SIDE_Y, F(10))
-        flipped, relabeled = canonicalize_direction(order, pool)
-        assert relabeled
-        assert flipped.side == SIDE_X
-        assert pool.relabeled() == PoolState("p", F(400_000), F(100))
-
-    def test_send_x_untouched(self):
-        pool = PoolState("p", F(100), F(400_000))
-        order = SwapOrder("p", SIDE_X, F(10))
-        same, relabeled = canonicalize_direction(order, pool)
-        assert not relabeled
-        assert same == order
-
-    def test_idempotent(self):
-        pool = PoolState("p", F(100), F(400_000))
-        order = SwapOrder("p", SIDE_Y, F(10))
-        once, _ = canonicalize_direction(order, pool)
-        twice, flag = canonicalize_direction(once, pool.relabeled())
-        assert twice == once
-        assert not flag
-
-    @given(st.data())
+    @given(
+        pairs=st.lists(st.tuples(st.integers(10_000, 5_000_000), st.integers(10_000, 5_000_000)),
+                       min_size=2, max_size=2),
+        amount=pos_amounts,
+    )
+    @example(pairs=[(321_673, 651_872), (612_089, 1_150_347)], amount=F(2_352_660_115, 2354))
     @settings(max_examples=60)
-    def test_direction_symmetry(self, data):
-        rng = random.Random(data.draw(st.integers(0, 2**32)))
-        eco = rand_eco(rng, 2)
-        amount = data.draw(pos_amounts)
-        for alg in (Algorithm.CPMM, Algorithm.GMM, Algorithm.NGMM):
-            via_y = quote_order(eco, SwapOrder("amm1", SIDE_Y, amount), alg)
-            via_relabel = quote_order(eco.relabeled(), SwapOrder("amm1", SIDE_X, amount), alg)
-            assert via_y == via_relabel
-            eco_y, out_y = apply_swap(eco, SwapOrder("amm1", SIDE_Y, amount), alg)
-            eco_x, out_x = apply_swap(eco.relabeled(), SwapOrder("amm1", SIDE_X, amount), alg)
-            assert out_y == out_x
-            assert eco_y == eco_x.relabeled()
+    def test_direction_symmetry(self, pairs, amount):
+        # send-Y must equal relabel, send-X, relabel back: bit for bit on the
+        # float path too, and raising alike when the naive rule drains the pool
+        def outcome(call):
+            try:
+                return call()
+            except ReserveDepletionError as exc:
+                return type(exc), str(exc)
+
+        exact = Ecosystem.from_reserves([(F(x), F(y)) for x, y in pairs])
+        floats = Ecosystem.from_reserves([(float(x), float(y)) for x, y in pairs])
+        for eco, dx in ((exact, amount), (floats, float(amount))):
+            flipped = eco.relabeled()
+            for alg in (Algorithm.CPMM, Algorithm.GMM, Algorithm.NGMM):
+                via_y = quote_order(eco, SwapOrder("amm1", SIDE_Y, dx), alg)
+                via_relabel = quote_order(flipped, SwapOrder("amm1", SIDE_X, dx), alg)
+                assert via_y == via_relabel
+                route_y = outcome(lambda: apply_swap(eco, SwapOrder("amm1", SIDE_Y, dx), alg))
+                route_x = outcome(lambda: apply_swap(flipped, SwapOrder("amm1", SIDE_X, dx), alg))
+                if isinstance(route_x[0], Ecosystem):
+                    route_x = route_x[0].relabeled(), route_x[1]
+                assert route_y == route_x
 
 
 class TestPoolValue:

@@ -121,7 +121,11 @@ class TestScenarioConfig:
             '{"algorithm": "gmm", "external_reserve_multiple": 0.05, "arithmetic": "rational", "seed": 3}'
         )
         assert cfg.external_reserve_multiple == F(1, 20)
-        assert cfg.seed == 3
+        for bad in ('[]', '{}', '{"algorithm": "gmm", "split_count": true}'):
+            with pytest.raises(DomainError):
+                ScenarioConfig.from_json(bad)
+        with pytest.raises(DomainError):
+            ScenarioConfig(Algorithm.GMM, split_count=True)
 
     def test_bad_arithmetic(self):
         with pytest.raises(DomainError):
