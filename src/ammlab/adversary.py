@@ -9,6 +9,7 @@ formulas stay independent routes that the tests reconcile.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -221,20 +222,22 @@ def best_two_pool_arbitrage(eco: Ecosystem, alg: Algorithm) -> ArbitrageCycle:
     return best
 
 
-def _random_cycle_value(eco: Ecosystem, alg: Algorithm, rng: random.Random,
-                        max_legs: int, exact: bool) -> Optional[Num]:
-    """Value (in Y at the initial global ratio) of one random closed cycle.
+def _cycle_value(eco: Ecosystem, alg: Algorithm, draws, max_legs: int,
+                 exact: bool) -> Optional[Num]:
+    """Value (in Y at the initial global ratio) of one random closed cycle,
+    or None when a leg would drain a pool.
 
     The arbitrageur opens with a random-sized swap, shuffles random
     fractions of its holdings through random pools, and the closing leg
     converts everything back into the start asset, so the net position is a
-    single signed number.
+    single signed number.  ``draws`` is the generator, or a :class:`_Replay`
+    of a screening pass's draws.
     """
-    n_legs = rng.randint(2, max_legs)
-    side = rng.choice((SIDE_X, SIDE_Y))
-    pool = rng.choice(eco.pools)
+    n_legs = draws.randint(2, max_legs)
+    side = draws.choice((SIDE_X, SIDE_Y))
+    pool = draws.choice(eco.pools)
     reserve = pool.x if side == SIDE_X else pool.y
-    frac = Fraction(rng.randint(1, 96), 128) if exact else rng.uniform(0.01, 0.75)
+    frac = Fraction(draws.randint(1, 96), 128) if exact else draws.uniform(0.01, 0.75)
     opening = reserve * frac
     hold = {SIDE_X: 0, SIDE_Y: 0}
     work = eco
@@ -244,18 +247,18 @@ def _random_cycle_value(eco: Ecosystem, alg: Algorithm, rng: random.Random,
         )
         hold[_other(side)] = out
         for _ in range(n_legs - 2):
-            send = rng.choice((SIDE_X, SIDE_Y))
+            send = draws.choice((SIDE_X, SIDE_Y))
             if hold[send] <= 0:
                 continue
-            part = Fraction(rng.randint(1, 16), 16) if exact else rng.uniform(0.05, 1.0)
+            part = Fraction(draws.randint(1, 16), 16) if exact else draws.uniform(0.05, 1.0)
             amt = hold[send] * part
-            target = rng.choice(eco.pools).pool_id
+            target = draws.choice(eco.pools).pool_id
             work, out = apply_swap(work, SwapOrder(target, send, amt, "arbitrageur"), alg)
             hold[send] -= amt
             hold[_other(send)] += out
         left = hold[_other(side)]
         if left > 0:
-            target = rng.choice(eco.pools).pool_id
+            target = draws.choice(eco.pools).pool_id
             work, out = apply_swap(work, SwapOrder(target, _other(side), left, "arbitrageur"), alg)
             hold[_other(side)] = 0
             hold[side] += out
@@ -263,6 +266,262 @@ def _random_cycle_value(eco: Ecosystem, alg: Algorithm, rng: random.Random,
         return None
     profit = hold[side] - opening
     return profit * eco.ratio if side == SIDE_X else profit
+
+
+class _Replay:
+    """Draw source for the exact pass: hands back the draws a screening pass
+    recorded (ints, and indices for ``choice``), then continues from the
+    generator, so the stream is consumed exactly as without screening."""
+
+    __slots__ = ("_rng", "_plan", "_next")
+
+    def __init__(self, rng: random.Random, plan: List[int]):
+        self._rng = rng
+        self._plan = plan
+        self._next = 0
+
+    def randint(self, a: int, b: int) -> int:
+        if self._next < len(self._plan):
+            self._next += 1
+            return self._plan[self._next - 1]
+        return self._rng.randint(a, b)
+
+    def choice(self, seq):
+        if self._next < len(self._plan):
+            self._next += 1
+            return seq[self._plan[self._next - 1]]
+        return self._rng.choice(seq)
+
+
+# Float screen of exact cycles.  Every float quantity q of a screening pass
+# stays within a relative error bound of its exact counterpart, carried to
+# first order (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).
+# _EPS is twice the unit roundoff per rounding; bounds are capped at
+# _BOUND_CAP, so the second-order terms and the use of float values in place
+# of exact ones change a bound by a factor under 1 + 1e-4, which the factor
+# 2 on every margin and on the returned bound covers.
+_EPS = 2.0 ** -52
+_BOUND_CAP = 2.0 ** -20
+# Screened ecosystems keep their reserves in [2**-100, 2**100] and outputs
+# above _OUT_FLOOR, so no product or quotient of a pass leaves the normal
+# float range and each rounding is relative.
+_RESERVE_RANGE = (2.0 ** -100, 2.0 ** 100)
+_OUT_FLOOR = 2.0 ** -400
+_SIDE_INDEX = (0, 1)  # X, Y: rng.choice draws from it as from (SIDE_X, SIDE_Y)
+_SCREENED = (Algorithm.CPMM, Algorithm.NGMM, Algorithm.GMM)
+
+
+class _Shadow:
+    """Float image of an exact ecosystem, the start state of every
+    screening pass: reserves by side (0 = X, 1 = Y), totals, global ratio
+    and the pool indices to draw from."""
+
+    __slots__ = ("reserves", "totals", "ratio", "indices")
+
+    def __init__(self, reserves: Tuple[Tuple[float, ...], Tuple[float, ...]],
+                 totals: Tuple[float, float], ratio: float, indices: range):
+        self.reserves = reserves
+        self.totals = totals
+        self.ratio = ratio
+        self.indices = indices
+
+
+def _shadow(eco: Ecosystem) -> Optional[_Shadow]:
+    """The float image of ``eco``, or None when a reserve is outside the
+    range the error bound assumes (its cycles then all run exactly)."""
+    try:
+        xs = tuple(float(p.x) for p in eco.pools)
+        ys = tuple(float(p.y) for p in eco.pools)
+        ratio = float(eco.ratio)
+    except OverflowError:
+        return None
+    lo, hi = _RESERVE_RANGE
+    if not all(lo <= v <= hi for v in xs + ys):
+        return None
+    totals = (float(eco.total_x), float(eco.total_y))
+    return _Shadow((xs, ys), totals, ratio, range(len(eco.pools)))
+
+
+def _screen_leg(res: List[List[float]], tot: List[float], s: int, i: int,
+                d: float, rd: float, bound: float,
+                alg: Algorithm) -> Optional[Tuple[float, float, float, int]]:
+    """Float image of :func:`apply_swap` sending ``d`` of side ``s`` to pool
+    ``i``, updating ``res`` and ``tot`` in place.
+
+    ``d`` is within relative ``rd`` of its exact value and every reserve and
+    total within ``bound``.  Returns ``(out, bound on out, bound on the
+    state after the leg, the constant product that priced it)`` -- pool
+    ``i``, or -1 for the aggregate one -- or None when a branch of the
+    pricing rule lands within its error bound of a tie, or the exact swap
+    could drain the pool.
+    """
+    o = 1 - s
+    x = res[s][i]
+    y = res[o][i]
+    tx = tot[s]
+    ty = tot[o]
+    a = rd if rd > bound else bound
+    if not a <= _BOUND_CAP:
+        return None
+    r_out = bound + rd + a + 3 * _EPS  # relative bound of y * d / (x + d)
+    local = y * d / (x + d)
+    product = i
+    if alg is Algorithm.CPMM:
+        out = local
+    else:
+        divergent = False
+        if alg is Algorithm.GMM:
+            # r_i <= r_rest, cross-multiplied: y * (tx - x) <= (ty - y) * x
+            cx = tx - x
+            cy = ty - y
+            lhs = y * cx
+            rhs = cy * x
+            e_lhs = (bound * (tx + x) + _EPS * abs(cx)) * y + (bound + _EPS) * abs(lhs)
+            e_rhs = (bound * (ty + y) + _EPS * abs(cy)) * x + (bound + _EPS) * abs(rhs)
+            if not abs(lhs - rhs) > 2 * (e_lhs + e_rhs):
+                return None
+            divergent = lhs <= rhs
+        if divergent:
+            out = local
+        else:
+            raw = ty * d / (tx + d)  # within r_out too
+            if not abs(raw - y) > 2 * (r_out * raw + bound * y):
+                return None
+            if raw >= y:  # the naive output is capped at y
+                if alg is Algorithm.NGMM:
+                    return None  # the exact swap drains the pool
+                out = local  # local < y: overshooting
+            elif alg is Algorithm.NGMM:
+                out = raw
+                product = -1
+            else:
+                if not abs(raw - local) > 2 * r_out * (raw + local):
+                    return None
+                if raw <= local:  # convergent
+                    out = raw
+                    product = -1
+                else:
+                    out = local
+    if not out >= _OUT_FLOOR:
+        return None
+    rest = y - out
+    if not rest > 0.0:
+        return None
+    res[s][i] = x + d
+    res[o][i] = rest
+    tot[s] = tx + d
+    tot[o] = ty - out
+    # y - out grows the error by y / (y - out); ty - out by less, as ty >= y
+    grown = (bound * y + r_out * out) / rest + _EPS
+    return out, r_out, max(a + _EPS, grown), product
+
+
+def _screen_cycle(shadow: _Shadow, alg: Algorithm, rng: random.Random, max_legs: int,
+                  plan: List[int]) -> Optional[Tuple[float, float]]:
+    """Float pass over the next random cycle, drawing from ``rng`` exactly
+    as :func:`_cycle_value` on an exact ecosystem does and recording each
+    draw in ``plan``.
+
+    Returns ``(value, err)`` with the exact cycle value within ``err`` of
+    ``value``, or None when the pass cannot bound it (a branch near a tie,
+    a possible depletion, a bound past the cap).  It stops at that point,
+    so ``plan`` holds the draws made so far and the exact pass draws the
+    rest.
+
+    A cycle whose every leg priced against one constant product (one
+    pool's, or the aggregate one) is worth exactly 0: it ends holding none
+    of the other asset, so that product's other reserve is back where it
+    started, and with it the start asset's.
+    """
+    res = [list(shadow.reserves[0]), list(shadow.reserves[1])]
+    tot = list(shadow.totals)
+    pools = shadow.indices
+    if alg is Algorithm.GMM and len(pools) == 1:
+        alg = Algorithm.CPMM  # a lone pool is divergent: the global rule prices it locally
+    n_legs = rng.randint(2, max_legs)
+    side = rng.choice(_SIDE_INDEX)
+    i = rng.choice(pools)
+    k = rng.randint(1, 96)
+    plan += (n_legs, side, i, k)
+    opening = res[side][i] * (k / 128)  # k / 128 is exact
+    r_open = 2 * _EPS
+    leg = _screen_leg(res, tot, side, i, opening, r_open, _EPS, alg)
+    if leg is None:
+        return None
+    out, r_out, after, product = leg
+    hold = [0.0, 0.0]
+    hold[1 - side] = out
+    bound = max(after, r_out)  # from here on it covers the holdings too
+    one_product = True
+    for _ in range(n_legs - 2):
+        send = rng.choice(_SIDE_INDEX)
+        plan.append(send)
+        held = hold[send]
+        if held <= 0.0:  # zero exactly when the exact holding is zero
+            continue
+        k = rng.randint(1, 16)
+        i = rng.choice(pools)
+        plan += (k, i)
+        amt = held * (k / 16)
+        leg = _screen_leg(res, tot, send, i, amt, bound + _EPS, bound, alg)
+        if leg is None:
+            return None
+        out, r_out, after, used = leg
+        one_product = one_product and used == product
+        rest = held - amt  # exactly zero when k == 16, as is the exact one
+        if rest > 0.0:
+            after = max(after, (bound * held + (bound + _EPS) * amt) / rest + _EPS)
+        hold[send] = rest
+        hold[1 - send] += out
+        bound = max(after, r_out + _EPS)
+    left = hold[1 - side]
+    if left > 0.0:
+        i = rng.choice(pools)
+        plan.append(i)
+        leg = _screen_leg(res, tot, 1 - side, i, left, bound, bound, alg)
+        if leg is None:
+            return None
+        out, r_out, after, used = leg
+        one_product = one_product and used == product
+        hold[side] += out
+        bound = max(after, r_out + _EPS)
+    if not bound <= _BOUND_CAP:
+        return None
+    if one_product:
+        return 0.0, 0.0
+    profit = hold[side] - opening
+    err = bound * hold[side] + r_open * opening + _EPS * abs(profit)
+    if side == 0:
+        value = profit * shadow.ratio
+        err = (err + 2 * _EPS * abs(profit)) * shadow.ratio
+    else:
+        value = profit
+    return value, 2 * err + 4 * _EPS * abs(value)
+
+
+def _random_cycle_value(eco: Ecosystem, alg: Algorithm, rng: random.Random,
+                        max_legs: int, exact: bool, best: Num = 0,
+                        shadow: Optional[_Shadow] = None) -> Optional[Num]:
+    """Value of the next random cycle (see :func:`_cycle_value`), or None
+    when the exact cycle drains a pool.
+
+    With a ``shadow`` the cycle runs in float first.  When that pass proves
+    the exact value is at most ``best``, the returned value is its float
+    upper bound, itself at most ``best``; otherwise the cycle re-runs
+    exactly on the same draws.
+    """
+    if shadow is None:
+        return _cycle_value(eco, alg, rng, max_legs, exact)
+    plan: List[int] = []
+    try:
+        screened = _screen_cycle(shadow, alg, rng, max_legs, plan)
+    except (ZeroDivisionError, OverflowError):
+        screened = None
+    if screened is not None:
+        upper = screened[0] + screened[1]
+        if upper <= best:  # float against Fraction compares exactly
+            return upper
+    return _cycle_value(eco, alg, _Replay(rng, plan), max_legs, True)
 
 
 def no_arbitrage_certificate(
@@ -278,7 +537,10 @@ def no_arbitrage_certificate(
 
     A nonpositive result over a large sample is the statistical certificate
     that the ecosystem admits no profitable cycle; under the global rule the
-    result is provably nonpositive for every cycle.
+    result is provably nonpositive for every cycle.  On an exact ecosystem
+    each random cycle is screened in float and re-run in ``Fraction`` only
+    when it could beat the running best, so the result is the exact value
+    of the best cycle, as if every cycle had run exactly.
     """
     rng = random.Random(seed)
     exact = is_exact(eco.pools[0].x)
@@ -293,11 +555,22 @@ def no_arbitrage_certificate(
                     cand = _refined_two_leg(eco, alg, ids[i], ids[j], side)
                     if cand is not None and cand.value_y > best:
                         best = cand.value_y
+    shadow = _shadow(eco) if exact and alg in _SCREENED else None
+    cutoff = _float_floor(best)
     for _ in range(samples):
-        value = _random_cycle_value(eco, alg, rng, max_legs, exact)
-        if value is not None and value > best:
+        value = _random_cycle_value(eco, alg, rng, max_legs, exact, cutoff, shadow)
+        # a screened value is a float at most cutoff; skip the slow exact compare
+        if value is not None and value > cutoff and value > best:
             best = value
+            cutoff = _float_floor(best)
     return best
+
+
+def _float_floor(value: Num) -> float:
+    """The float nearest ``value`` from below: float comparisons against it
+    are fast and imply the exact comparison against ``value``."""
+    f = float(value)
+    return f if f <= value else math.nextafter(f, -math.inf)
 
 
 def replay_exploit_sequence(

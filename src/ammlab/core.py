@@ -22,6 +22,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
+from .numeric import is_exact
+
 Num = Union[int, float, Fraction]
 
 SIDE_X = "X"
@@ -146,7 +148,31 @@ class Ecosystem:
 
     def with_pool(self, pool: PoolState) -> "Ecosystem":
         idx = self.index_of(pool.pool_id)
-        return Ecosystem(self.pools[:idx] + (pool,) + self.pools[idx + 1:])
+        old = self.pools[idx]
+        return self._successor(idx, pool, pool.x - old.x, pool.y - old.y)
+
+    def _successor(self, idx: int, pool: PoolState, dx: Num, dy: Num) -> "Ecosystem":
+        """This ecosystem with ``pools[idx]`` replaced by ``pool``, whose
+        reserves differ from the old ones by ``(dx, dy)``.
+
+        Ids and positions do not change, so the index map is shared and not
+        checked again.  Exact totals are carried as ``total + delta``, which
+        equals the re-summed value; float totals are re-summed in pool order,
+        so they stay bit-identical to those of a fresh ``Ecosystem``.
+        """
+        pools = self.pools[:idx] + (pool,) + self.pools[idx + 1:]
+        if (is_exact(self.total_x) and is_exact(self.total_y)
+                and is_exact(pool.x) and is_exact(pool.y)):
+            total_x = self.total_x + dx
+            total_y = self.total_y + dy
+        else:
+            total_x = total_y = 0  # the start and order of sum()
+            for p in pools:
+                total_x += p.x
+                total_y += p.y
+        new = object.__new__(Ecosystem)
+        new.__dict__.update(pools=pools, total_x=total_x, total_y=total_y, _index=self._index)
+        return new
 
     def relabeled(self) -> "Ecosystem":
         return Ecosystem(tuple(p.relabeled() for p in self.pools))
@@ -290,9 +316,9 @@ def apply_swap(eco: Ecosystem, order: SwapOrder, alg: Algorithm) -> Tuple[Ecosys
         )
     if order.side == SIDE_X:
         new_pool = PoolState(pool.pool_id, pool.x + dx, pool.y - out)
-    else:
-        new_pool = PoolState(pool.pool_id, pool.x - out, pool.y + dx)
-    return Ecosystem(eco.pools[:idx] + (new_pool,) + eco.pools[idx + 1:]), out
+        return eco._successor(idx, new_pool, dx, -out), out
+    new_pool = PoolState(pool.pool_id, pool.x - out, pool.y + dx)
+    return eco._successor(idx, new_pool, -out, dx), out
 
 
 def pool_value(pool: PoolState, price: Num) -> Num:

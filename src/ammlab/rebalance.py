@@ -151,12 +151,14 @@ def rebalance_pools(
     terminates after at most ``len(pools) - 1`` transfers.  Aggregates are
     unchanged throughout (in-loop transfers always price at the global
     ratio).  The target's ratio moves weakly toward the global ratio and
-    never past it.
+    never past it.  A loop still unsettled after ``16 * len(pools) + 16``
+    transfers raises :class:`DomainError`.
     """
     l_idx = eco.index_of(pool_id)
     work = eco
     transfers = []
-    for _ in range(16 * len(eco.pools) + 16):
+    limit = 16 * len(eco.pools) + 16
+    for _ in range(limit):
         l = work.pools[l_idx]
         r = work.ratio
         if not _ratio_strictly_below(l.ratio, r):
@@ -184,7 +186,7 @@ def rebalance_pools(
         work = Ecosystem(tuple(pools))
         transfers.append(RebalanceTransfer(l.pool_id, j.pool_id, amount, paid))
     else:
-        raise RuntimeError("rebalancing loop failed to terminate")
+        raise DomainError(f"rebalancing {pool_id!r} did not settle within {limit} transfers")
     return work, tuple(transfers)
 
 

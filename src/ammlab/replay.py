@@ -57,6 +57,12 @@ ROLES = (ROLE_NORMAL, ROLE_FRONTRUN, ROLE_VICTIM, ROLE_BACKRUN)
 #: relative tolerance; logs quote rounded decimals.
 BACKRUN_MATCH_RTOL = Fraction(1, 1000)
 
+#: Longest numeric field, and largest decimal exponent, a log may hold.  The
+#: work and memory a literal costs grow with both: ``1e1000000`` would parse
+#: into an integer of 3.3 million bits.
+MAX_LITERAL_CHARS = 100
+MAX_LITERAL_EXPONENT = 100
+
 
 class LogFormatError(ValueError):
     """Structured parse/validation failure; ``errors`` is a list of
@@ -195,6 +201,20 @@ def _read_text(source) -> str:
         return fh.read().decode("utf-8")
 
 
+def _oversized_literal(fields: Sequence[str]) -> bool:
+    for text in fields:
+        if len(text) > MAX_LITERAL_CHARS:
+            return True
+        _, mark, exponent = text.replace("E", "e").rpartition("e")
+        if mark:
+            try:
+                if abs(int(exponent)) > MAX_LITERAL_EXPONENT:
+                    return True
+            except ValueError:
+                pass  # not a number at all: Fraction rejects it below
+    return False
+
+
 def parse_log(source, backrun_match_rtol: Num = BACKRUN_MATCH_RTOL) -> List[ReplayRecord]:
     """Parse and validate a swap log; returns records sorted as given.
 
@@ -233,6 +253,12 @@ def parse_log(source, backrun_match_rtol: Num = BACKRUN_MATCH_RTOL) -> List[Repl
             continue
         if (role == ROLE_NORMAL) != (attack_id == ""):
             errors.append((offset, "attack_id must be set exactly for attack roles"))
+            continue
+        numeric = amount_s + rx_s + ry_s + px_s + py_s
+        if ((len(numeric) > MAX_LITERAL_CHARS or "e" in numeric or "E" in numeric)
+                and _oversized_literal((amount_s, rx_s, ry_s, px_s, py_s))):
+            errors.append((offset, f"numeric literal longer than {MAX_LITERAL_CHARS} "
+                                   f"characters or with an exponent beyond {MAX_LITERAL_EXPONENT}"))
             continue
         try:
             amount = Fraction(amount_s)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ammlab import adversary
 from ammlab.adversary import (
     SandwichSpec,
     best_two_pool_arbitrage,
@@ -221,6 +222,95 @@ class TestCertificate:
         eco = Ecosystem.from_reserves([(F(1_000), F(2_000_000))])
         for alg in (Algorithm.CPMM, Algorithm.GMM):
             assert no_arbitrage_certificate(eco, 1_000, alg, seed=5) <= 0
+
+    # Exact certificates of 200 samples on seeded ecosystems, recorded before
+    # the random phase screened its cycles in float: the values must not move.
+    # The runs without the refined phase are the best random cycle alone, so
+    # they pin the RNG stream; under the naive rule some cycles drain a pool.
+    GOLDEN = [
+        (Algorithm.GMM, 2, 11, True, F(0)),
+        (Algorithm.GMM, 4, 13, True, F(0)),
+        (Algorithm.CPMM, 3, 22, True,
+         F("1229671813807598933963838862399085145/564324292325044291839533565056")),
+        (Algorithm.CPMM, 2, 41, False, F("3344312429108024731/385361344643040")),
+        (Algorithm.CPMM, 3, 42, False, F("10717738206745299/75113176192")),
+        (Algorithm.CPMM, 4, 43, False, F("346803695555788588742645/149680467126371254")),
+        (Algorithm.NGMM, 3, 32, True, F(0)),
+        (Algorithm.NGMM, 2, 51, False, F(0)),
+    ]
+
+    @pytest.mark.parametrize("alg,n_pools,seed,refined,expected", GOLDEN)
+    def test_golden_certificates(self, alg, n_pools, seed, refined, expected):
+        rng = random.Random(seed)
+        eco = Ecosystem.from_reserves(
+            [(F(rng.randint(10_000, 5_000_000)), F(rng.randint(10_000, 5_000_000)))
+             for _ in range(n_pools)]
+        )
+        value = no_arbitrage_certificate(eco, 200, alg, seed=seed, include_refined=refined)
+        assert value == expected
+
+
+def _screen_case(data):
+    """A Fraction ecosystem of 1-4 pools, independent, equal-ratio or within
+    a relative 1e-12 of one ratio, and a pricing rule."""
+    n = data.draw(st.integers(1, 4))
+    shape = data.draw(st.sampled_from(("free", "equal", "near")))
+    ratio = data.draw(st.fractions(F(1, 1000), F(1000), max_denominator=1000))
+    pairs = []
+    for _ in range(n):
+        x = data.draw(st.fractions(F(1, 10), F(10**7), max_denominator=1000))
+        if shape == "free":
+            y = data.draw(st.fractions(F(1, 10), F(10**7), max_denominator=1000))
+        elif shape == "equal":
+            y = x * ratio
+        else:
+            y = x * ratio * (1 + F(data.draw(st.integers(-1000, 1000)), 10**15))
+        pairs.append((x, y))
+    alg = data.draw(st.sampled_from((Algorithm.CPMM, Algorithm.GMM, Algorithm.NGMM)))
+    return Ecosystem.from_reserves(pairs), alg
+
+
+class TestFloatScreen:
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_bound_holds_or_cycle_is_flagged(self, data):
+        eco, alg = _screen_case(data)
+        max_legs = data.draw(st.integers(2, 8))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        shadow = adversary._shadow(eco)
+        assert shadow is not None
+        for _ in range(12):
+            plan = []
+            screened = adversary._screen_cycle(shadow, alg, rng, max_legs, plan)
+            if screened is None:  # flagged: the exact pass draws the rest
+                adversary._cycle_value(eco, alg, adversary._Replay(rng, plan), max_legs, True)
+                continue
+            value, err = screened
+            replay = adversary._Replay(None, plan)  # no live draws may be left
+            exact = adversary._cycle_value(eco, alg, replay, max_legs, True)
+            assert replay._next == len(plan)
+            assert exact is not None
+            assert abs(exact - F(value)) <= F(err)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_screened_certificate_equals_exact_one(self, data):
+        eco, alg = _screen_case(data)
+        seed = data.draw(st.integers(0, 2**16))
+        refined = data.draw(st.booleans())
+        screened = no_arbitrage_certificate(eco, 40, alg, seed=seed, include_refined=refined)
+        original = adversary._shadow
+        adversary._shadow = lambda _eco: None  # every cycle exact, as before screening
+        try:
+            exact = no_arbitrage_certificate(eco, 40, alg, seed=seed, include_refined=refined)
+        finally:
+            adversary._shadow = original
+        assert screened == exact
+
+    def test_out_of_range_reserves_are_not_screened(self):
+        assert adversary._shadow(Ecosystem.from_reserves([(F(1), F(2) ** 101)])) is None
+        assert adversary._shadow(Ecosystem.from_reserves([(F(1), F(1, 2**101))])) is None
+        assert adversary._shadow(Ecosystem.from_reserves([(F(1), F(10) ** 400)])) is None
 
 
 class TestExploitReplay:

@@ -51,6 +51,19 @@ class TestQuote:
         assert "amount_out: 3980.10" in out
         assert "transfer: amm2 -> amm1 amount=10.00 received=40000.00" in out
 
+    def test_unsettled_rebalancing_is_domain_error(self, capsys, monkeypatch):
+        from ammlab import rebalance
+
+        monkeypatch.setattr(rebalance, "inter_pool_quote", lambda dx, to_pool, eco: 0)
+        rc, out, err = run(capsys, [
+            "quote", "--pools", "90:440000,210:760000", "--amount", "1",
+            "--pool-index", "1", "--algorithm", "gmm-rebal", "--force-trigger",
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: rebalancing 'amm2' did not settle")
+        assert "Traceback" not in err
+
     def test_usage_error_is_exit_two(self, capsys):
         rc, _, _ = run(capsys, ["quote", "--pools", "100:400000"])  # no --amount
         assert rc == 2
@@ -227,6 +240,28 @@ class TestReplay:
         rc, _, err = run(capsys, ["replay", "--log", str(log), "--config", str(cfg)])
         assert rc == 1
         assert "line 4" in err
+
+    @pytest.mark.parametrize("literal", ["1e1000000", "1E-1000000", "9" * 101])
+    def test_oversized_literal_is_invalid_log(self, capsys, tmp_path, literal):
+        # rejected before parsing: such a literal would be a multi-megabit integer
+        log, cfg = self.write_inputs(tmp_path, {"algorithm": "cpmm"})
+        log.write_text(PART2_LOG.replace(",60000,", f",{literal},"))
+        rc, out, err = run(capsys, ["replay", "--log", str(log), "--config", str(cfg)])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: invalid log")
+        assert "line 2: numeric literal" in err
+
+    def test_small_exponent_is_accepted(self, capsys, tmp_path):
+        log, cfg = self.write_inputs(tmp_path, {"algorithm": "cpmm"})
+        log.write_text(PART2_LOG.replace(",60000,", ",6e4,"))
+        out_file = tmp_path / "summary.json"
+        rc, _, _ = run(capsys, [
+            "replay", "--log", str(log), "--config", str(cfg), "--out", str(out_file),
+        ])
+        assert rc == 0
+        payload = json.loads(out_file.read_text())
+        assert payload["total_attacker_profit_usd"] == pytest.approx(10_093.46, abs=0.01)
 
     @pytest.mark.parametrize("config", [[], {}, {"algorithm": "gmm", "split_count": True}])
     def test_malformed_config_is_domain_error(self, capsys, tmp_path, config):

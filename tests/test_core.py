@@ -226,6 +226,37 @@ class TestApplySwap:
                 assert route_y == route_x
 
 
+    @given(
+        pairs=st.lists(st.tuples(reserves, reserves), min_size=1, max_size=5),
+        steps=st.lists(
+            st.tuples(st.integers(0, 4), st.sampled_from((SIDE_X, SIDE_Y)),
+                      st.fractions(F(1, 1000), F(3), max_denominator=1000),
+                      st.sampled_from((Algorithm.CPMM, Algorithm.GMM, Algorithm.NGMM))),
+            min_size=1, max_size=8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_carried_totals_match_fresh_sums(self, pairs, steps):
+        # each swap builds its successor without re-summing exact totals;
+        # they must equal the totals of a freshly built ecosystem, and the
+        # float totals must be the same bits
+        for conv in (F, float):
+            work = Ecosystem.from_reserves([(conv(x), conv(y)) for x, y in pairs])
+            for k, side, scale, alg in steps:
+                pool = work.pools[k % len(work.pools)]
+                size = (pool.x if side == SIDE_X else pool.y) * conv(scale)
+                try:
+                    work, _ = apply_swap(work, SwapOrder(pool.pool_id, side, size), alg)
+                except ReserveDepletionError:
+                    break
+                fresh = Ecosystem(work.pools)
+                assert (work.total_x, work.total_y) == (fresh.total_x, fresh.total_y)
+                assert type(work.total_x) is type(fresh.total_x)
+                assert work.pool(pool.pool_id) is work.pools[k % len(work.pools)]
+            replaced = work.with_pool(PoolState("amm1", conv(7), conv(3)))
+            fresh = Ecosystem(replaced.pools)
+            assert (replaced.total_x, replaced.total_y) == (fresh.total_x, fresh.total_y)
+
+
 class TestPoolValue:
     def test_toy_hold_value(self):
         assert pool_value(PoolState("p", F(100), F(400_000)), F(3_000)) == 700_000

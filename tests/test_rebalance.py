@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ammlab import rebalance
 from ammlab.adversary import no_arbitrage_certificate
 from ammlab.core import (
     Algorithm,
@@ -122,6 +123,12 @@ class TestRebalanceLoop:
         assert t.amount_x == 10
         assert t.amount_y_received == 40_000
         assert [(p.x, p.y) for p in rebalanced.pools] == [(100, 400_000), (200, 800_000)]
+
+    def test_unsettled_loop_is_domain_error(self, monkeypatch):
+        # a quote that pays nothing only halves the target's gap each move
+        monkeypatch.setattr(rebalance, "inter_pool_quote", lambda dx, to_pool, eco: 0)
+        with pytest.raises(DomainError, match="did not settle within 48 transfers"):
+            rebalance_pools(Ecosystem.from_reserves(TOY_REBAL), "amm2")
 
     def test_skewed_fixture_transfer(self):
         eco = Ecosystem.from_reserves(SKEWED)
