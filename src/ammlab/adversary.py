@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .core import (
     Algorithm,
@@ -112,6 +112,31 @@ def simulate_sandwich(eco: Ecosystem, spec: SandwichSpec, alg: Algorithm) -> San
     )
 
 
+def _sandwich_quotient(x_i: Num, x_global: Num, victim_dx: Num,
+                       attack_dx: Num) -> Optional[Fraction]:
+    """Exact closed-form sandwich profit as one integer quotient, or None
+    unless both reserves are ``Fraction``s and both amounts ints or
+    ``Fraction``s.  Other inputs keep the expressions of the callers, whose
+    divisions of an int by an int give floats.
+
+    With ``S = A + V``, the profit of attack ``A`` around victim ``V`` on a
+    pool ``x`` in global reserves ``G`` is
+    ``A * [(x+S)(x*S - G*A) + V*x**2] / [G(x+S)(x+A) - V*x**2]``; over one
+    common denominator ``L`` every term is an integer and ``L`` is left
+    once in the denominator.
+    """
+    if not (type(x_i) is Fraction and type(x_global) is Fraction
+            and type(victim_dx) in (int, Fraction) and type(attack_dx) in (int, Fraction)):
+        return None
+    values = (x_i, x_global, victim_dx, attack_dx)
+    den = math.lcm(*(v.denominator for v in values))
+    x, g, v, a = (q.numerator * (den // q.denominator) for q in values)
+    s = a + v
+    xs = x + s
+    vxx = v * x * x
+    return Fraction(a * (xs * (x * s - g * a) + vxx), den * (g * xs * (x + a) - vxx))
+
+
 def sandwich_profit_cpmm_closed(x_i: Num, victim_dx: Num, attack_dx: Num) -> Num:
     """Closed-form sandwich profit against a lone constant-product pool.
 
@@ -120,6 +145,9 @@ def sandwich_profit_cpmm_closed(x_i: Num, victim_dx: Num, attack_dx: Num) -> Num
     """
     if not x_i > 0:
         raise DomainError("reserve must be strictly positive")
+    exact = _sandwich_quotient(x_i, x_i, victim_dx, attack_dx)
+    if exact is not None:
+        return exact
     d = victim_dx / x_i
     dh = attack_dx / x_i
     t = 1 + dh + d
@@ -133,6 +161,9 @@ def sandwich_profit_gmm_closed(x_i: Num, x_global: Num, victim_dx: Num, attack_d
         raise DomainError("reserve must be strictly positive")
     if x_global < x_i:
         raise DomainError("global reserves cannot be smaller than the pool's")
+    exact = _sandwich_quotient(x_i, x_global, victim_dx, attack_dx)
+    if exact is not None:
+        return exact
     t_loc = 1 + (attack_dx + victim_dx) / x_i
     t_glob = 1 + (attack_dx + victim_dx) / x_global
     return (t_glob * t_loc / (t_loc * (1 + attack_dx / x_i) - victim_dx / x_global) - 1) * attack_dx
@@ -218,7 +249,8 @@ def best_two_pool_arbitrage(eco: Ecosystem, alg: Algorithm) -> ArbitrageCycle:
             cand = _refined_two_leg(eco, alg, first, second, side)
             if cand is not None and (best is None or cand.value_y > best.value_y):
                 best = cand
-    assert best is not None
+    if best is None:
+        raise DomainError("no two-leg cycle could be priced: every candidate drains a pool")
     return best
 
 
@@ -309,6 +341,8 @@ _RESERVE_RANGE = (2.0 ** -100, 2.0 ** 100)
 _OUT_FLOOR = 2.0 ** -400
 _SIDE_INDEX = (0, 1)  # X, Y: rng.choice draws from it as from (SIDE_X, SIDE_Y)
 _SCREENED = (Algorithm.CPMM, Algorithm.NGMM, Algorithm.GMM)
+#: Verdict of a screening pass whose exact cycle certainly drains a pool.
+_DRAINS = "drains"
 
 
 class _Shadow:
@@ -344,16 +378,17 @@ def _shadow(eco: Ecosystem) -> Optional[_Shadow]:
 
 def _screen_leg(res: List[List[float]], tot: List[float], s: int, i: int,
                 d: float, rd: float, bound: float,
-                alg: Algorithm) -> Optional[Tuple[float, float, float, int]]:
+                alg: Algorithm) -> Union[None, str, Tuple[float, float, float, int]]:
     """Float image of :func:`apply_swap` sending ``d`` of side ``s`` to pool
     ``i``, updating ``res`` and ``tot`` in place.
 
     ``d`` is within relative ``rd`` of its exact value and every reserve and
     total within ``bound``.  Returns ``(out, bound on out, bound on the
     state after the leg, the constant product that priced it)`` -- pool
-    ``i``, or -1 for the aggregate one -- or None when a branch of the
-    pricing rule lands within its error bound of a tie, or the exact swap
-    could drain the pool.
+    ``i``, or -1 for the aggregate one.  Returns ``_DRAINS`` when the exact
+    swap certainly drains the pool, and None when a branch of the pricing
+    rule lands within its error bound of a tie, or the exact swap could
+    drain the pool.
     """
     o = 1 - s
     x = res[s][i]
@@ -389,7 +424,7 @@ def _screen_leg(res: List[List[float]], tot: List[float], s: int, i: int,
                 return None
             if raw >= y:  # the naive output is capped at y
                 if alg is Algorithm.NGMM:
-                    return None  # the exact swap drains the pool
+                    return _DRAINS  # the naive output is y: the exact swap drains the pool
                 out = local  # local < y: overshooting
             elif alg is Algorithm.NGMM:
                 out = raw
@@ -417,16 +452,17 @@ def _screen_leg(res: List[List[float]], tot: List[float], s: int, i: int,
 
 
 def _screen_cycle(shadow: _Shadow, alg: Algorithm, rng: random.Random, max_legs: int,
-                  plan: List[int]) -> Optional[Tuple[float, float]]:
+                  plan: List[int]) -> Union[None, str, Tuple[float, float]]:
     """Float pass over the next random cycle, drawing from ``rng`` exactly
     as :func:`_cycle_value` on an exact ecosystem does and recording each
     draw in ``plan``.
 
     Returns ``(value, err)`` with the exact cycle value within ``err`` of
-    ``value``, or None when the pass cannot bound it (a branch near a tie,
-    a possible depletion, a bound past the cap).  It stops at that point,
-    so ``plan`` holds the draws made so far and the exact pass draws the
-    rest.
+    ``value``, ``_DRAINS`` when a leg certainly drains a pool, or None when
+    the pass cannot bound it (a branch near a tie, a possible depletion, a
+    bound past the cap).  It stops at that point, so ``plan`` holds the
+    draws made so far and the exact pass draws the rest; a draining leg
+    has made its draws, as the exact pass does before it raises.
 
     A cycle whose every leg priced against one constant product (one
     pool's, or the aggregate one) is worth exactly 0: it ends holding none
@@ -446,8 +482,8 @@ def _screen_cycle(shadow: _Shadow, alg: Algorithm, rng: random.Random, max_legs:
     opening = res[side][i] * (k / 128)  # k / 128 is exact
     r_open = 2 * _EPS
     leg = _screen_leg(res, tot, side, i, opening, r_open, _EPS, alg)
-    if leg is None:
-        return None
+    if leg is None or leg is _DRAINS:
+        return leg
     out, r_out, after, product = leg
     hold = [0.0, 0.0]
     hold[1 - side] = out
@@ -464,8 +500,8 @@ def _screen_cycle(shadow: _Shadow, alg: Algorithm, rng: random.Random, max_legs:
         plan += (k, i)
         amt = held * (k / 16)
         leg = _screen_leg(res, tot, send, i, amt, bound + _EPS, bound, alg)
-        if leg is None:
-            return None
+        if leg is None or leg is _DRAINS:
+            return leg
         out, r_out, after, used = leg
         one_product = one_product and used == product
         rest = held - amt  # exactly zero when k == 16, as is the exact one
@@ -479,8 +515,8 @@ def _screen_cycle(shadow: _Shadow, alg: Algorithm, rng: random.Random, max_legs:
         i = rng.choice(pools)
         plan.append(i)
         leg = _screen_leg(res, tot, 1 - side, i, left, bound, bound, alg)
-        if leg is None:
-            return None
+        if leg is None or leg is _DRAINS:
+            return leg
         out, r_out, after, used = leg
         one_product = one_product and used == product
         hold[side] += out
@@ -517,6 +553,8 @@ def _random_cycle_value(eco: Ecosystem, alg: Algorithm, rng: random.Random,
         screened = _screen_cycle(shadow, alg, rng, max_legs, plan)
     except (ZeroDivisionError, OverflowError):
         screened = None
+    if screened is _DRAINS:
+        return None  # the exact pass would stop at the same leg, on the same draws
     if screened is not None:
         upper = screened[0] + screened[1]
         if upper <= best:  # float against Fraction compares exactly

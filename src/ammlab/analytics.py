@@ -146,7 +146,7 @@ def trader_surplus_comparison(eco: Ecosystem, dx: Num) -> SurplusReport:
     # guaranteed by construction; tolerate only square-root noise in (a)
     slack = float(best_cpmm) * 1e-9
     if float(best_rebal) < float(best_cpmm) - slack:
-        raise AssertionError(
+        raise DomainError(
             f"rebalanced quote {best_rebal} fell below balanced-arbitrage quote {best_cpmm}"
         )
     return report

@@ -215,7 +215,25 @@ def _oversized_literal(fields: Sequence[str]) -> bool:
     return False
 
 
-def parse_log(source, backrun_match_rtol: Num = BACKRUN_MATCH_RTOL) -> List[ReplayRecord]:
+def _decimal(text: str, memo: Dict[str, Fraction]) -> Fraction:
+    """``Fraction(text)``, memoised in ``memo``.
+
+    A plain ASCII ``digits[.digits]`` literal is built from its integer
+    digits; any other text goes through ``Fraction`` itself, so the grammar
+    accepted and the errors raised are exactly ``Fraction``'s.
+    """
+    value = memo.get(text)
+    if value is None:
+        whole, dot, frac = text.partition(".")
+        if text.isascii() and whole.isdigit() and (frac.isdigit() or not dot):
+            value = Fraction(int(whole + frac), 10 ** len(frac))
+        else:
+            value = Fraction(text)
+        memo[text] = value
+    return value
+
+
+def parse_log(source) -> List[ReplayRecord]:
     """Parse and validate a swap log; returns records sorted as given.
 
     Raises :class:`LogFormatError` collecting every malformed row and every
@@ -229,6 +247,7 @@ def parse_log(source, backrun_match_rtol: Num = BACKRUN_MATCH_RTOL) -> List[Repl
     if tuple(rows[0]) != CSV_COLUMNS:
         raise LogFormatError([(1, f"bad header, expected {','.join(CSV_COLUMNS)}")])
 
+    memo: Dict[str, Fraction] = {}
     records: List[ReplayRecord] = []
     lines: List[int] = []
     for offset, row in enumerate(rows[1:], start=2):
@@ -261,15 +280,16 @@ def parse_log(source, backrun_match_rtol: Num = BACKRUN_MATCH_RTOL) -> List[Repl
                                    f"characters or with an exponent beyond {MAX_LITERAL_EXPONENT}"))
             continue
         try:
-            amount = Fraction(amount_s)
-            rx = Fraction(rx_s)
-            ry = Fraction(ry_s)
-            px = Fraction(px_s) if px_s else None
-            py = Fraction(py_s) if py_s else None
+            amount = _decimal(amount_s, memo)
+            rx = _decimal(rx_s, memo)
+            ry = _decimal(ry_s, memo)
+            px = _decimal(px_s, memo) if px_s else None
+            py = _decimal(py_s, memo) if py_s else None
         except (ValueError, ZeroDivisionError):
             errors.append((offset, "non-decimal amount, reserve or price"))
             continue
-        if amount <= 0 or rx <= 0 or ry <= 0:
+        # denominators are positive: the sign is the numerator's
+        if amount.numerator <= 0 or rx.numerator <= 0 or ry.numerator <= 0:
             errors.append((offset, "amounts and reserves must be positive"))
             continue
         records.append(
@@ -311,8 +331,8 @@ def parse_log(source, backrun_match_rtol: Num = BACKRUN_MATCH_RTOL) -> List[Repl
             continue
         sent = front.reserve_x_before if front.token_in == "X" else front.reserve_y_before
         received = front.reserve_y_before if front.token_in == "X" else front.reserve_x_before
-        front_out = cpmm_out(front.amount_in, sent, received)
-        if abs(back.amount_in - front_out) > backrun_match_rtol * front_out:
+        if _backrun_mismatch(back.amount_in, front.amount_in, sent, received):
+            front_out = cpmm_out(front.amount_in, sent, received)
             errors.append(
                 (lines[backs[0]],
                  f"attack {attack_id!r}: backrun input {back.amount_in} does not match "
@@ -322,6 +342,23 @@ def parse_log(source, backrun_match_rtol: Num = BACKRUN_MATCH_RTOL) -> List[Repl
     if errors:
         raise LogFormatError(sorted(errors))
     return records
+
+
+def _backrun_mismatch(back: Fraction, a: Fraction, s: Fraction, r: Fraction) -> bool:
+    """True when ``back`` is off the front-run's output ``a*r/(s+a)`` by more
+    than ``BACKRUN_MATCH_RTOL`` of it, the front-run sending ``a`` against
+    reserves ``s`` (sent asset) and ``r`` (received).
+
+    The test ``|back*(s+a) - a*r| > rtol*a*r`` is cross-multiplied by every
+    (positive) denominator and decided on integers.
+    """
+    bn, bd = back.numerator, back.denominator
+    an, ad = a.numerator, a.denominator
+    sn, sd = s.numerator, s.denominator
+    rn, rd = r.numerator, r.denominator
+    a_r = an * rn * bd * sd  # a*r, times bd*sd*ad*rd
+    gap = abs(bn * (sn * ad + an * sd) * rd - a_r)
+    return gap * BACKRUN_MATCH_RTOL.denominator > BACKRUN_MATCH_RTOL.numerator * a_r
 
 
 @dataclass
@@ -520,6 +557,16 @@ def il_portfolio_report(
     return ILScenarioReport(tuple(entries), totals, excluded)
 
 
+def _scaled_round(num: int, den: int, places: int) -> int:
+    """``round(Fraction(num, den) * 10**places)`` (half to even) on integers;
+    ``den`` is positive."""
+    quot, rem = divmod(num * 10**places, den)
+    twice = 2 * rem
+    if twice > den or (twice == den and quot & 1):
+        quot += 1
+    return quot
+
+
 def format_decimal(value: Num, places: int = 12) -> str:
     """Plain decimal rendering with at most ``places`` fractional digits,
     trailing zeros stripped.  Exact for inputs whose denominator divides
@@ -527,10 +574,11 @@ def format_decimal(value: Num, places: int = 12) -> str:
     if isinstance(value, float):
         value = Fraction(repr(value))
     q = Fraction(value)
-    scaled = round(q * 10**places)
+    scaled = _scaled_round(q.numerator, q.denominator, places)
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(places + 1, "0")
-    whole, frac = digits[:-places], digits[-places:]
+    cut = len(digits) - places
+    whole, frac = digits[:cut], digits[cut:]
     frac = frac.rstrip("0")
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
 
@@ -560,7 +608,7 @@ def records_to_csv(records: Sequence[ReplayRecord]) -> str:
 
 
 def _round_to_grid(value: Fraction, places: int = 12) -> Fraction:
-    return Fraction(round(value * 10**places), 10**places)
+    return Fraction(_scaled_round(value.numerator, value.denominator, places), 10**places)
 
 
 def synthetic_attack_records(seed: int, n_attacks: int = 100) -> List[ReplayRecord]:

@@ -207,6 +207,12 @@ class TestTwoPoolArbitrage:
         with pytest.raises(DomainError):
             best_two_pool_arbitrage(Ecosystem.from_reserves([(F(1), F(1))]), Algorithm.CPMM)
 
+    def test_no_priced_candidate_is_domain_error(self, monkeypatch):
+        # every candidate cycle drains a pool
+        monkeypatch.setattr(adversary, "_refined_two_leg", lambda *args: None)
+        with pytest.raises(DomainError, match="no two-leg cycle could be priced"):
+            best_two_pool_arbitrage(self.post_trade_eco(), Algorithm.CPMM)
+
 
 class TestCertificate:
     def test_global_rule_certified_nonprofitable(self):
@@ -285,8 +291,12 @@ class TestFloatScreen:
             if screened is None:  # flagged: the exact pass draws the rest
                 adversary._cycle_value(eco, alg, adversary._Replay(rng, plan), max_legs, True)
                 continue
-            value, err = screened
             replay = adversary._Replay(None, plan)  # no live draws may be left
+            if screened is adversary._DRAINS:  # the exact pass drains a pool on the same draws
+                assert adversary._cycle_value(eco, alg, replay, max_legs, True) is None
+                assert replay._next == len(plan)
+                continue
+            value, err = screened
             exact = adversary._cycle_value(eco, alg, replay, max_legs, True)
             assert replay._next == len(plan)
             assert exact is not None
@@ -306,6 +316,21 @@ class TestFloatScreen:
         finally:
             adversary._shadow = original
         assert screened == exact
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_screened_cycles_draw_as_exact_ones(self, data):
+        # a pass that stops early (a tie, a drain) must leave the generator
+        # where the exact cycle leaves it
+        eco, alg = _screen_case(data)
+        seed = data.draw(st.integers(0, 2**16))
+        shadow = adversary._shadow(eco)
+        screened_rng, exact_rng = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            screened = adversary._random_cycle_value(eco, alg, screened_rng, 6, True, 0, shadow)
+            exact = adversary._random_cycle_value(eco, alg, exact_rng, 6, True)
+            assert (screened is None) == (exact is None)
+            assert screened_rng.getstate() == exact_rng.getstate()
 
     def test_out_of_range_reserves_are_not_screened(self):
         assert adversary._shadow(Ecosystem.from_reserves([(F(1), F(2) ** 101)])) is None

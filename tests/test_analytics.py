@@ -1,9 +1,11 @@
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ammlab import analytics
 from ammlab.adversary import insider_optimal_trades
 from ammlab.analytics import (
     il_cpmm,
@@ -179,6 +181,15 @@ class TestTraderSurplus:
     def test_rejects_nonpositive_order(self):
         with pytest.raises(DomainError):
             trader_surplus_comparison(benchmark_eco(F(1, 2)), F(0))
+
+    def test_broken_invariant_is_domain_error(self, monkeypatch):
+        # a rebalanced quote that pays nothing falls below the balanced one
+        monkeypatch.setattr(
+            analytics, "gmm_rebal_quote", lambda dx, eco, pool_id: (eco, SimpleNamespace(amount_out=0))
+        )
+        eco = Ecosystem.from_reserves([(F(90), F(444_444)), (F(100), F(400_000))])
+        with pytest.raises(DomainError, match="fell below balanced-arbitrage quote"):
+            trader_surplus_comparison(eco, F(10))
 
 
 class TestBenchmarkValueOrdering:

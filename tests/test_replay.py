@@ -1,13 +1,30 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ammlab.core import Algorithm, DomainError
+from ammlab.adversary import (
+    sandwich_profit_beta,
+    sandwich_profit_cpmm_closed,
+    sandwich_profit_gmm_closed,
+    sandwich_profit_nsplit,
+)
+from ammlab.cli import main
+from ammlab.core import Algorithm, DomainError, cpmm_out
 from ammlab.replay import (
+    BACKRUN_MATCH_RTOL,
     CSV_COLUMNS,
     LogFormatError,
     ReplayRecord,
     ScenarioConfig,
+    _backrun_mismatch,
+    _decimal,
+    _oversized_literal,
+    _scaled_round,
+    format_decimal,
     il_portfolio_report,
     parse_log,
     records_to_csv,
@@ -255,3 +272,252 @@ class TestIlPortfolio:
             parse_log(log_text(rows).encode()), [F(1, 2)], F(10), price_epsilon=F(1, 10**6)
         )
         assert report.excluded["missing_prices"] == 1
+
+
+# Literals near the decimal grammar: signs, bare or trailing points,
+# exponents, ratios, underscores, padding and non-ASCII digits.
+DIGITS = "0123456789"
+ODD_DIGITS = "\u0663\uff15\u00b2"  # Arabic-Indic three, fullwidth five, superscript two
+digit_runs = st.text(st.sampled_from(DIGITS + ODD_DIGITS[:2]), min_size=1, max_size=6)
+grouped = st.lists(st.text(st.sampled_from(DIGITS), min_size=1, max_size=3),
+                   min_size=1, max_size=3).map("_".join)
+number = st.one_of(st.just(""), digit_runs, grouped)
+# exponents stay small: Fraction itself would build 10**999999 from "1e999999"
+exponent = st.one_of(st.just(""), st.text(st.sampled_from(DIGITS + ODD_DIGITS), min_size=1, max_size=2))
+structured = st.builds(
+    lambda pad, sign, whole, dot, frac, tail, end: pad + sign + whole + dot + frac + tail + end,
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["", "+", "-"]),
+    number,
+    st.sampled_from(["", "."]),
+    number,
+    st.one_of(st.just(""), st.builds("{}{}{}".format, st.sampled_from("eE"),
+                                    st.sampled_from(["", "+", "-"]), exponent),
+              st.builds("/{}".format, number)),
+    st.sampled_from(["", " "]),
+)
+literals = st.one_of(structured, st.text(st.sampled_from(DIGITS + "._+-eE/ " + ODD_DIGITS),
+                                         max_size=8))
+
+
+def fraction_or_error(text):
+    try:
+        return F(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+class TestDecimalLiterals:
+    @settings(max_examples=400)
+    @given(literals)
+    @example("5.")
+    @example(".5")
+    @example("-0.5")
+    @example("1_000.25")
+    @example(" 7 ")
+    @example("1e3")
+    @example("3/4")
+    @example("3/0")
+    @example("\u0663.\uff15")
+    @example("\u00b2")
+    def test_equals_fraction(self, text):
+        try:
+            value = _decimal(text, {})
+        except (ValueError, ZeroDivisionError) as exc:
+            value = type(exc)
+        expected = fraction_or_error(text)
+        assert value == expected and type(value) is type(expected)
+
+    def test_memo_returns_the_first_value(self):
+        memo = {}
+        first = _decimal("12.50", memo)
+        assert _decimal("12.50", memo) is first and first == F(25, 2)
+
+    @settings(max_examples=300)
+    @given(literals, st.sampled_from([6, 7, 9]))
+    @example("1e101", 6)
+    @example("-3", 7)
+    @example("0", 6)
+    @example("", 10)
+    def test_parse_log_reports_as_fraction_does(self, text, column):
+        # the literal replaces the amount, a reserve or a price of a normal row
+        row = "100,0,PAIR-A,normal,,X,5,400000,100,1,4000".split(",")
+        row[column] = text
+        parsed = fraction_or_error(text) if text or column < 9 else None
+        if _oversized_literal([text]):
+            expected = [(2, f"numeric literal longer than 100 characters "
+                            f"or with an exponent beyond 100")]
+        elif isinstance(parsed, type):
+            expected = [(2, "non-decimal amount, reserve or price")]
+        elif column < 9 and parsed <= 0:
+            expected = [(2, "amounts and reserves must be positive")]
+        else:
+            expected = None
+        log = log_text([",".join(row)]).encode()
+        if expected is None:
+            (record,) = parse_log(log)
+            assert getattr(record, CSV_COLUMNS[column]) == parsed
+        else:
+            with pytest.raises(LogFormatError) as err:
+                parse_log(log)
+            assert err.value.errors == expected
+
+
+class TestIntegerRounding:
+    @settings(max_examples=300)
+    @given(st.integers(-10**20, 10**20), st.integers(1, 10**15), st.integers(0, 14))
+    @example(5, 2, 0)
+    @example(-5, 2, 0)
+    @example(7, 2, 0)
+    @example(-7, 2, 0)
+    @example(25, 10**13, 12)
+    @example(35, 10**13, 12)
+    @example(-25, 10**13, 12)
+    def test_half_even_as_round(self, num, den, places):
+        assert _scaled_round(num, den, places) == round(F(num, den) * 10**places)
+
+    @settings(max_examples=200)
+    @given(st.one_of(st.fractions(max_denominator=10**15), st.integers(-10**12, 10**12),
+                     st.floats(-1e9, 1e9)), st.integers(0, 14))
+    def test_format_decimal_as_round(self, value, places):
+        q = F(repr(value)) if isinstance(value, float) else F(value)
+        scaled = round(q * 10**places)
+        assert F(format_decimal(value, places)) == F(scaled, 10**places)
+
+
+def amounts(lo=1):
+    return st.fractions(min_value=F(lo, 10**6), max_value=F(10**7), max_denominator=10**12)
+
+
+class TestBackrunMatch:
+    @settings(max_examples=300)
+    @given(amounts(), amounts(), amounts(), st.fractions(min_value=F(99, 100), max_value=F(101, 100)))
+    def test_same_verdict_as_the_fraction_test(self, a, s, r, scale):
+        front_out = cpmm_out(a, s, r)
+        for back in (front_out * scale, front_out * (1 + BACKRUN_MATCH_RTOL),
+                     front_out * (1 - BACKRUN_MATCH_RTOL)):
+            expected = abs(back - front_out) > BACKRUN_MATCH_RTOL * front_out
+            assert _backrun_mismatch(back, a, s, r) == expected
+
+
+# The closed forms as written before the exact path became one integer
+# quotient; the float path still evaluates exactly these expressions.
+def cpmm_oracle(x_i, victim_dx, attack_dx):
+    d = victim_dx / x_i
+    dh = attack_dx / x_i
+    t = 1 + dh + d
+    return (t * t / (t * (1 + dh) - d) - 1) * attack_dx
+
+
+def gmm_oracle(x_i, x_global, victim_dx, attack_dx):
+    if x_global < x_i:
+        raise DomainError("global reserves cannot be smaller than the pool's")
+    t_loc = 1 + (attack_dx + victim_dx) / x_i
+    t_glob = 1 + (attack_dx + victim_dx) / x_global
+    return (t_glob * t_loc / (t_loc * (1 + attack_dx / x_i) - victim_dx / x_global) - 1) * attack_dx
+
+
+def value_or_domain_error(call):
+    try:
+        return call()
+    except DomainError:
+        return DomainError
+
+
+def as_kind(value, kind):
+    return {"fraction": value, "int": int(value), "float": float(value)}[kind]
+
+
+kinds = st.sampled_from(["fraction", "int", "float"])
+sizes = st.one_of(st.just(F(0)), amounts())
+
+
+class TestClosedFormsMatchOracle:
+    @settings(max_examples=300)
+    @given(amounts(), sizes, sizes, st.fractions(min_value=0, max_value=20, max_denominator=100),
+           st.integers(1, 9), st.tuples(kinds, kinds, kinds, kinds))
+    @example(F(400_000), F(40_000), F(60_000), F(1), 2, ("fraction", "int", "fraction", "int"))
+    @example(F(7), F(0), F(0), F(0), 1, ("int", "int", "int", "int"))
+    def test_equal_to_the_expression(self, x, victim, attack, beta, n, kind):
+        x = max(x, F(1))  # an int reserve stays positive
+        x, victim, attack, beta = (as_kind(v, k) for v, k in zip((x, victim, attack, beta), kind))
+        cases = [
+            (lambda: sandwich_profit_cpmm_closed(x, victim, attack),
+             lambda: cpmm_oracle(x, victim, attack)),
+            (lambda: sandwich_profit_gmm_closed(x, x * 3, victim, attack),
+             lambda: gmm_oracle(x, x * 3, victim, attack)),
+            # a float beta may round (1 + beta) * x below x: both raise
+            (lambda: sandwich_profit_beta(x, beta, victim, attack),
+             lambda: gmm_oracle(x, (1 + beta) * x, victim, attack)),
+            (lambda: sandwich_profit_nsplit(x, n, victim, attack),
+             lambda: gmm_oracle(x / n, x, victim, attack)),
+        ]
+        for call, oracle in cases:
+            got, expected = value_or_domain_error(call), value_or_domain_error(oracle)
+            assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("x", [F(0), F(-1), 0, -2.5])
+    def test_nonpositive_reserve(self, x):
+        for call in (lambda: sandwich_profit_cpmm_closed(x, F(1), F(1)),
+                     lambda: sandwich_profit_gmm_closed(x, F(10), F(1), F(1)),
+                     lambda: sandwich_profit_beta(x, F(1), F(1), F(1)),
+                     lambda: sandwich_profit_nsplit(x, 2, F(1), F(1))):
+            with pytest.raises(DomainError):
+                call()
+
+    def test_other_domain_errors(self):
+        with pytest.raises(DomainError):
+            sandwich_profit_gmm_closed(F(10), F(9), F(1), F(1))
+        with pytest.raises(DomainError):
+            sandwich_profit_beta(F(10), F(-1, 10), F(1), F(1))
+        for n in (0, True, 2.0):
+            with pytest.raises(DomainError):
+                sandwich_profit_nsplit(F(10), n, F(1), F(1))
+
+
+# SHA-256 of the files `ammlab replay` writes for synthetic_attack_records(20240607, 250),
+# recorded before the integer parse and closed forms; (--out JSON, --attacks-csv).
+GOLDEN_LOG = "5af6f038c9cde73d0f3df235af4b279ea2cd8db4761009d218f3ea1c882053d5"
+GOLDEN_REPLAY = {
+    "cpmm": ("1e93a683d372cb1ed3da64c12f4cc59d97ee25e8c7e65228bae0f76344b91f6a",
+             "5017ffe692c695d1455677c79a4ec576ecaacff7d1fd5b258c29ca2fbb8c5218"),
+    "gmm-beta-rational": ("b0c2485c6340cbfeb5e00eaa02debd62095901f652ab8f26a1d370a7a500f4b8",
+                          "bc0b6c2748d276d3226cff98b7382926605601d523602279e39233a10744bcd0"),
+    "gmm-split-float64": ("b0f18c8ec8692c041101e649ae79a15ad431d5bdb614b7ba6838a06cdb51dc7d",
+                          "65f8ef011ebee63018e2fc9edd1d80a140bf5a05a6b63b5ededa106ce1443ddf"),
+}
+GOLDEN_IL = "1f666b2fdd4d33884281008bf73bf13daa8afaaf2a37e428551773dd97de6df7"
+GOLDEN_CONFIGS = {
+    "cpmm": {"algorithm": "cpmm"},
+    "gmm-beta-rational": {"algorithm": "gmm", "external_reserve_multiple": "9/4"},
+    "gmm-split-float64": {"algorithm": "gmm", "arithmetic": "float64", "split_count": 5},
+}
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenReplay:
+    @pytest.fixture(scope="class")
+    def log(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("golden") / "log.csv"
+        path.write_text(records_to_csv(synthetic_attack_records(20240607, 250)), encoding="utf-8")
+        return path
+
+    def test_log_csv(self, log):
+        assert sha256_of(log) == GOLDEN_LOG
+
+    @pytest.mark.parametrize("scenario", sorted(GOLDEN_CONFIGS))
+    def test_scenario_outputs(self, log, tmp_path, scenario):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(GOLDEN_CONFIGS[scenario]), encoding="utf-8")
+        out, attacks = tmp_path / "out.json", tmp_path / "attacks.csv"
+        assert main(["replay", "--log", str(log), "--config", str(config),
+                     "--out", str(out), "--attacks-csv", str(attacks)]) == 0
+        assert (sha256_of(out), sha256_of(attacks)) == GOLDEN_REPLAY[scenario]
+
+    def test_il_report(self, log, tmp_path):
+        out = tmp_path / "il.json"
+        assert main(["replay", "--log", str(log), "--il", "--out", str(out)]) == 0
+        assert sha256_of(out) == GOLDEN_IL
