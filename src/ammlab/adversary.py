@@ -9,11 +9,12 @@ formulas stay independent routes that the tests reconcile.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     Algorithm,
@@ -205,9 +206,10 @@ def _cycle_profit(eco: Ecosystem, alg: Algorithm, first: str, second: str,
     return mid, back - amount
 
 
-def _refined_two_leg(eco: Ecosystem, alg: Algorithm, first: str, second: str,
-                     side: str) -> Optional[ArbitrageCycle]:
-    shadow = _float_ecosystem(eco)
+def _refined_two_leg(eco: Ecosystem, shadow: Ecosystem, alg: Algorithm, first: str,
+                     second: str, side: str) -> Optional[ArbitrageCycle]:
+    """Two-leg cycle whose first-leg size maximizes the profit on ``shadow``,
+    the float image of ``eco``, priced on ``eco``; None when it drains a pool."""
     reserve = shadow.total_x if side == SIDE_X else shadow.total_y
 
     def objective(q: float) -> float:
@@ -232,6 +234,20 @@ def _refined_two_leg(eco: Ecosystem, alg: Algorithm, first: str, second: str,
     return ArbitrageCycle(legs, (mid, profit + amount), net_x, net_y, side, profit, value_y)
 
 
+def _refined_cycles(eco: Ecosystem, alg: Algorithm) -> Iterator[ArbitrageCycle]:
+    """The refined two-leg cycle of each side and ordered pool pair, side
+    first; cycles that drain a pool are left out."""
+    shadow = _float_ecosystem(eco)
+    ids = [p.pool_id for p in eco.pools]
+    for side in (SIDE_X, SIDE_Y):
+        for first in ids:
+            for second in ids:
+                if first != second:
+                    cycle = _refined_two_leg(eco, shadow, alg, first, second, side)
+                    if cycle is not None:
+                        yield cycle
+
+
 def best_two_pool_arbitrage(eco: Ecosystem, alg: Algorithm) -> ArbitrageCycle:
     """Most profitable two-leg cycle on a two-pool ecosystem.
 
@@ -242,35 +258,57 @@ def best_two_pool_arbitrage(eco: Ecosystem, alg: Algorithm) -> ArbitrageCycle:
     """
     if len(eco.pools) != 2:
         raise DomainError("two-pool search needs exactly two pools")
-    ids = [p.pool_id for p in eco.pools]
-    best: Optional[ArbitrageCycle] = None
-    for side in (SIDE_X, SIDE_Y):
-        for first, second in ((ids[0], ids[1]), (ids[1], ids[0])):
-            cand = _refined_two_leg(eco, alg, first, second, side)
-            if cand is not None and (best is None or cand.value_y > best.value_y):
-                best = cand
+    best = max(_refined_cycles(eco, alg), key=lambda cycle: cycle.value_y, default=None)
     if best is None:
         raise DomainError("no two-leg cycle could be priced: every candidate drains a pool")
     return best
 
 
-def _cycle_value(eco: Ecosystem, alg: Algorithm, draws, max_legs: int,
-                 exact: bool) -> Optional[Num]:
-    """Value (in Y at the initial global ratio) of one random closed cycle,
-    or None when a leg would drain a pool.
+#: One leg of a random cycle: side sent, pool index, and the fraction k/den sent.
+_Leg = Tuple[str, int, int, int]
 
-    The arbitrageur opens with a random-sized swap, shuffles random
-    fractions of its holdings through random pools, and the closing leg
-    converts everything back into the start asset, so the net position is a
-    single signed number.  ``draws`` is the generator, or a :class:`_Replay`
-    of a screening pass's draws.
+
+def _cycle_legs(rng: random.Random, n_pools: int, max_legs: int) -> Iterator[_Leg]:
+    """Draws of one random closed cycle, leg by leg, as ``(side sent, pool
+    index, k, den)``: the leg sends ``k/den`` of a reserve (the opening
+    leg, ``k/128``) or of the holding of that side (``k/16``, and ``1/1``
+    for the closing leg).
+
+    Each leg is drawn only when it is asked for, so a pricing pass that
+    stops early leaves the generator where it stopped.  Every leg pays out
+    a positive amount, so a holding is empty exactly when it was never paid
+    or its last send was all of it (``k == den``): the draws never depend
+    on prices.
     """
-    n_legs = draws.randint(2, max_legs)
-    side = draws.choice((SIDE_X, SIDE_Y))
-    pool = draws.choice(eco.pools)
-    reserve = pool.x if side == SIDE_X else pool.y
-    frac = Fraction(draws.randint(1, 96), 128) if exact else draws.uniform(0.01, 0.75)
-    opening = reserve * frac
+    n_legs = rng.randint(2, max_legs)
+    side = rng.choice((SIDE_X, SIDE_Y))
+    i = rng.randrange(n_pools)
+    yield side, i, rng.randint(1, 96), 128
+    held = {side: False, _other(side): True}
+    for _ in range(n_legs - 2):
+        send = rng.choice((SIDE_X, SIDE_Y))
+        if not held[send]:
+            continue
+        k = rng.randint(1, 16)
+        yield send, rng.randrange(n_pools), k, 16
+        held[send] = k < 16
+        held[_other(send)] = True
+    if held[_other(side)]:
+        yield _other(side), rng.randrange(n_pools), 1, 1
+
+
+def _cycle_value(eco: Ecosystem, alg: Algorithm, legs: Iterator[_Leg]) -> Optional[Num]:
+    """Value (in Y at the initial global ratio) of the closed cycle ``legs``
+    (see :func:`_cycle_legs`), or None when a leg would drain a pool.
+
+    The arbitrageur opens with a swap of part of a reserve, shuffles parts
+    of its holdings through pools, and the closing leg converts everything
+    back into the start asset, so the net position is a single signed
+    number.
+    """
+    side, i, k, den = next(legs)
+    pool = eco.pools[i]
+    opening = (pool.x if side == SIDE_X else pool.y) * k / den
     hold = {SIDE_X: 0, SIDE_Y: 0}
     work = eco
     try:
@@ -278,51 +316,17 @@ def _cycle_value(eco: Ecosystem, alg: Algorithm, draws, max_legs: int,
             work, SwapOrder(pool.pool_id, side, opening, "arbitrageur"), alg
         )
         hold[_other(side)] = out
-        for _ in range(n_legs - 2):
-            send = draws.choice((SIDE_X, SIDE_Y))
-            if hold[send] <= 0:
-                continue
-            part = Fraction(draws.randint(1, 16), 16) if exact else draws.uniform(0.05, 1.0)
-            amt = hold[send] * part
-            target = draws.choice(eco.pools).pool_id
-            work, out = apply_swap(work, SwapOrder(target, send, amt, "arbitrageur"), alg)
+        for send, i, k, den in legs:
+            amt = hold[send] * k / den
+            work, out = apply_swap(
+                work, SwapOrder(eco.pools[i].pool_id, send, amt, "arbitrageur"), alg
+            )
             hold[send] -= amt
             hold[_other(send)] += out
-        left = hold[_other(side)]
-        if left > 0:
-            target = draws.choice(eco.pools).pool_id
-            work, out = apply_swap(work, SwapOrder(target, _other(side), left, "arbitrageur"), alg)
-            hold[_other(side)] = 0
-            hold[side] += out
     except ReserveDepletionError:
         return None
     profit = hold[side] - opening
     return profit * eco.ratio if side == SIDE_X else profit
-
-
-class _Replay:
-    """Draw source for the exact pass: hands back the draws a screening pass
-    recorded (ints, and indices for ``choice``), then continues from the
-    generator, so the stream is consumed exactly as without screening."""
-
-    __slots__ = ("_rng", "_plan", "_next")
-
-    def __init__(self, rng: random.Random, plan: List[int]):
-        self._rng = rng
-        self._plan = plan
-        self._next = 0
-
-    def randint(self, a: int, b: int) -> int:
-        if self._next < len(self._plan):
-            self._next += 1
-            return self._plan[self._next - 1]
-        return self._rng.randint(a, b)
-
-    def choice(self, seq):
-        if self._next < len(self._plan):
-            self._next += 1
-            return seq[self._plan[self._next - 1]]
-        return self._rng.choice(seq)
 
 
 # Float screen of exact cycles.  Every float quantity q of a screening pass
@@ -339,25 +343,22 @@ _BOUND_CAP = 2.0 ** -20
 # float range and each rounding is relative.
 _RESERVE_RANGE = (2.0 ** -100, 2.0 ** 100)
 _OUT_FLOOR = 2.0 ** -400
-_SIDE_INDEX = (0, 1)  # X, Y: rng.choice draws from it as from (SIDE_X, SIDE_Y)
-_SCREENED = (Algorithm.CPMM, Algorithm.NGMM, Algorithm.GMM)
 #: Verdict of a screening pass whose exact cycle certainly drains a pool.
 _DRAINS = "drains"
 
 
 class _Shadow:
     """Float image of an exact ecosystem, the start state of every
-    screening pass: reserves by side (0 = X, 1 = Y), totals, global ratio
-    and the pool indices to draw from."""
+    screening pass: reserves by side (0 = X, 1 = Y), totals and global
+    ratio."""
 
-    __slots__ = ("reserves", "totals", "ratio", "indices")
+    __slots__ = ("reserves", "totals", "ratio")
 
     def __init__(self, reserves: Tuple[Tuple[float, ...], Tuple[float, ...]],
-                 totals: Tuple[float, float], ratio: float, indices: range):
+                 totals: Tuple[float, float], ratio: float):
         self.reserves = reserves
         self.totals = totals
         self.ratio = ratio
-        self.indices = indices
 
 
 def _shadow(eco: Ecosystem) -> Optional[_Shadow]:
@@ -373,7 +374,7 @@ def _shadow(eco: Ecosystem) -> Optional[_Shadow]:
     if not all(lo <= v <= hi for v in xs + ys):
         return None
     totals = (float(eco.total_x), float(eco.total_y))
-    return _Shadow((xs, ys), totals, ratio, range(len(eco.pools)))
+    return _Shadow((xs, ys), totals, ratio)
 
 
 def _screen_leg(res: List[List[float]], tot: List[float], s: int, i: int,
@@ -451,18 +452,16 @@ def _screen_leg(res: List[List[float]], tot: List[float], s: int, i: int,
     return out, r_out, max(a + _EPS, grown), product
 
 
-def _screen_cycle(shadow: _Shadow, alg: Algorithm, rng: random.Random, max_legs: int,
-                  plan: List[int]) -> Union[None, str, Tuple[float, float]]:
-    """Float pass over the next random cycle, drawing from ``rng`` exactly
-    as :func:`_cycle_value` on an exact ecosystem does and recording each
-    draw in ``plan``.
+def _screen_cycle(shadow: _Shadow, alg: Algorithm, legs: Iterator[_Leg],
+                  seen: List[_Leg]) -> Union[None, str, Tuple[float, float]]:
+    """Float pass over the cycle ``legs``, appending each leg to ``seen``
+    before pricing it.
 
     Returns ``(value, err)`` with the exact cycle value within ``err`` of
     ``value``, ``_DRAINS`` when a leg certainly drains a pool, or None when
     the pass cannot bound it (a branch near a tie, a possible depletion, a
-    bound past the cap).  It stops at that point, so ``plan`` holds the
-    draws made so far and the exact pass draws the rest; a draining leg
-    has made its draws, as the exact pass does before it raises.
+    bound past the cap).  It stops at that point, so the exact pass prices
+    ``seen`` and then the rest of ``legs``.
 
     A cycle whose every leg priced against one constant product (one
     pool's, or the aggregate one) is worth exactly 0: it ends holding none
@@ -471,55 +470,39 @@ def _screen_cycle(shadow: _Shadow, alg: Algorithm, rng: random.Random, max_legs:
     """
     res = [list(shadow.reserves[0]), list(shadow.reserves[1])]
     tot = list(shadow.totals)
-    pools = shadow.indices
-    if alg is Algorithm.GMM and len(pools) == 1:
+    if alg is Algorithm.GMM and len(res[0]) == 1:
         alg = Algorithm.CPMM  # a lone pool is divergent: the global rule prices it locally
-    n_legs = rng.randint(2, max_legs)
-    side = rng.choice(_SIDE_INDEX)
-    i = rng.choice(pools)
-    k = rng.randint(1, 96)
-    plan += (n_legs, side, i, k)
-    opening = res[side][i] * (k / 128)  # k / 128 is exact
+    leg = next(legs)
+    seen.append(leg)
+    side_sent, i, k, den = leg
+    side = 0 if side_sent == SIDE_X else 1
+    opening = res[side][i] * (k / den)  # k / 128 is exact
     r_open = 2 * _EPS
-    leg = _screen_leg(res, tot, side, i, opening, r_open, _EPS, alg)
-    if leg is None or leg is _DRAINS:
-        return leg
-    out, r_out, after, product = leg
+    priced = _screen_leg(res, tot, side, i, opening, r_open, _EPS, alg)
+    if priced is None or priced is _DRAINS:
+        return priced
+    out, r_out, after, product = priced
     hold = [0.0, 0.0]
     hold[1 - side] = out
     bound = max(after, r_out)  # from here on it covers the holdings too
     one_product = True
-    for _ in range(n_legs - 2):
-        send = rng.choice(_SIDE_INDEX)
-        plan.append(send)
+    for leg in legs:
+        seen.append(leg)
+        side_sent, i, k, den = leg
+        send = 0 if side_sent == SIDE_X else 1
         held = hold[send]
-        if held <= 0.0:  # zero exactly when the exact holding is zero
-            continue
-        k = rng.randint(1, 16)
-        i = rng.choice(pools)
-        plan += (k, i)
-        amt = held * (k / 16)
-        leg = _screen_leg(res, tot, send, i, amt, bound + _EPS, bound, alg)
-        if leg is None or leg is _DRAINS:
-            return leg
-        out, r_out, after, used = leg
+        amt = held * (k / den)  # k / 16 is exact; the closing leg sends the holding itself
+        rd = bound if den == 1 else bound + _EPS
+        priced = _screen_leg(res, tot, send, i, amt, rd, bound, alg)
+        if priced is None or priced is _DRAINS:
+            return priced
+        out, r_out, after, used = priced
         one_product = one_product and used == product
-        rest = held - amt  # exactly zero when k == 16, as is the exact one
+        rest = held - amt  # exactly zero when k == den, as is the exact one
         if rest > 0.0:
             after = max(after, (bound * held + (bound + _EPS) * amt) / rest + _EPS)
         hold[send] = rest
         hold[1 - send] += out
-        bound = max(after, r_out + _EPS)
-    left = hold[1 - side]
-    if left > 0.0:
-        i = rng.choice(pools)
-        plan.append(i)
-        leg = _screen_leg(res, tot, 1 - side, i, left, bound, bound, alg)
-        if leg is None or leg is _DRAINS:
-            return leg
-        out, r_out, after, used = leg
-        one_product = one_product and used == product
-        hold[side] += out
         bound = max(after, r_out + _EPS)
     if not bound <= _BOUND_CAP:
         return None
@@ -536,30 +519,31 @@ def _screen_cycle(shadow: _Shadow, alg: Algorithm, rng: random.Random, max_legs:
 
 
 def _random_cycle_value(eco: Ecosystem, alg: Algorithm, rng: random.Random,
-                        max_legs: int, exact: bool, best: Num = 0,
+                        max_legs: int, best: Num = 0,
                         shadow: Optional[_Shadow] = None) -> Optional[Num]:
-    """Value of the next random cycle (see :func:`_cycle_value`), or None
-    when the exact cycle drains a pool.
+    """Value of the next random cycle drawn from ``rng`` (see
+    :func:`_cycle_value`), or None when it drains a pool.
 
     With a ``shadow`` the cycle runs in float first.  When that pass proves
     the exact value is at most ``best``, the returned value is its float
     upper bound, itself at most ``best``; otherwise the cycle re-runs
-    exactly on the same draws.
+    exactly on the same legs.
     """
+    legs = _cycle_legs(rng, len(eco.pools), max_legs)
     if shadow is None:
-        return _cycle_value(eco, alg, rng, max_legs, exact)
-    plan: List[int] = []
+        return _cycle_value(eco, alg, legs)
+    seen: List[_Leg] = []
     try:
-        screened = _screen_cycle(shadow, alg, rng, max_legs, plan)
+        screened = _screen_cycle(shadow, alg, legs, seen)
     except (ZeroDivisionError, OverflowError):
         screened = None
     if screened is _DRAINS:
-        return None  # the exact pass would stop at the same leg, on the same draws
+        return None  # the exact pass would stop at the same leg
     if screened is not None:
         upper = screened[0] + screened[1]
         if upper <= best:  # float against Fraction compares exactly
             return upper
-    return _cycle_value(eco, alg, _Replay(rng, plan), max_legs, True)
+    return _cycle_value(eco, alg, itertools.chain(seen, legs))
 
 
 def no_arbitrage_certificate(
@@ -581,22 +565,15 @@ def no_arbitrage_certificate(
     of the best cycle, as if every cycle had run exactly.
     """
     rng = random.Random(seed)
-    exact = is_exact(eco.pools[0].x)
     best: Num = 0
-    if include_refined and len(eco.pools) >= 2:
-        ids = [p.pool_id for p in eco.pools]
-        for i in range(len(ids)):
-            for j in range(len(ids)):
-                if i == j:
-                    continue
-                for side in (SIDE_X, SIDE_Y):
-                    cand = _refined_two_leg(eco, alg, ids[i], ids[j], side)
-                    if cand is not None and cand.value_y > best:
-                        best = cand.value_y
-    shadow = _shadow(eco) if exact and alg in _SCREENED else None
+    if include_refined:
+        for cycle in _refined_cycles(eco, alg):
+            if cycle.value_y > best:
+                best = cycle.value_y
+    shadow = _shadow(eco) if is_exact(eco.pools[0].x) else None
     cutoff = _float_floor(best)
     for _ in range(samples):
-        value = _random_cycle_value(eco, alg, rng, max_legs, exact, cutoff, shadow)
+        value = _random_cycle_value(eco, alg, rng, max_legs, cutoff, shadow)
         # a screened value is a float at most cutoff; skip the slow exact compare
         if value is not None and value > cutoff and value > best:
             best = value

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -94,11 +95,11 @@ def cmd_quote(args) -> int:
         raise DomainError(f"pool index {args.pool_index} out of range")
     pool_id = eco.pools[args.pool_index].pool_id
     amount = Fraction(args.amount)
-    alg = Algorithm.parse(args.algorithm)
-    if args.force_trigger and alg is not Algorithm.GMM_REBAL:
+    rebalancing = args.algorithm == "gmm-rebal"  # a quote procedure, not an Algorithm
+    if args.force_trigger and not rebalancing:
         raise DomainError("--force-trigger only applies to gmm-rebal")
     order = SwapOrder(pool_id, args.send, amount)
-    if alg is Algorithm.GMM_REBAL:
+    if rebalancing:
         work = eco if order.side == SIDE_X else eco.relabeled()
         if amount > 0:
             _, quote, transfers = gmm_rebal_transfers(amount, work, pool_id, args.force_trigger)
@@ -109,7 +110,7 @@ def cmd_quote(args) -> int:
         else:
             quote = quote_order(work, SwapOrder(pool_id, SIDE_X, 0), Algorithm.GMM)
     else:
-        quote = quote_order(eco, order, alg)
+        quote = quote_order(eco, order, Algorithm.parse(args.algorithm))
     print(f"amount_out: {float(quote.amount_out):.2f}")
     print(f"branch: {quote.branch}")
     print(f"classification: {quote.classification}")
@@ -262,10 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: building it costs
+    over ten times what parsing one command line does."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
     try:

@@ -55,7 +55,6 @@ class Algorithm(Enum):
     CPMM = "cpmm"
     NGMM = "ngmm"  # demonstration/exploit use only, not a recommended configuration
     GMM = "gmm"
-    GMM_REBAL = "gmm-rebal"
 
     @classmethod
     def parse(cls, token: str) -> "Algorithm":
@@ -287,8 +286,6 @@ def quote_order(eco: Ecosystem, order: SwapOrder, alg: Algorithm) -> Quote:
     A send-Y order is priced as send-X with the asset labels swapped; the
     scalar output needs no un-relabeling.
     """
-    if alg is Algorithm.GMM_REBAL:
-        raise DomainError("rebalancing quotes live in the rebalance module")
     view = _send_x_view(eco, eco.pool(order.pool_id), order.side)
     return _quote(order.amount_in, *view, alg)
 
@@ -301,8 +298,6 @@ def apply_swap(eco: Ecosystem, order: SwapOrder, alg: Algorithm) -> Tuple[Ecosys
     mutated.  Paying out a full reserve raises ``ReserveDepletionError``
     (reachable only under the naive global rule).
     """
-    if alg is Algorithm.GMM_REBAL:
-        raise DomainError("apply rebalancing swaps via the rebalance module")
     idx = eco.index_of(order.pool_id)
     dx = order.amount_in
     if dx == 0:

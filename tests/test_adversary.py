@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -255,6 +256,23 @@ class TestCertificate:
         value = no_arbitrage_certificate(eco, 200, alg, seed=seed, include_refined=refined)
         assert value == expected
 
+    @pytest.mark.parametrize("refined", [True, False])
+    @pytest.mark.parametrize("alg", [Algorithm.CPMM, Algorithm.GMM, Algorithm.NGMM])
+    def test_float_certificate_tracks_the_exact_one(self, alg, refined):
+        # a float ecosystem draws the same cycles as its exact original, so
+        # its certificate is the float image of the exact one
+        for seed in range(10):
+            rng = random.Random(seed)
+            eco = Ecosystem.from_reserves(
+                [(F(rng.randint(10_000, 5_000_000), rng.randint(1, 7)),
+                  F(rng.randint(10_000, 5_000_000), rng.randint(1, 7)))
+                 for _ in range(2 + seed % 3)]
+            )
+            image = Ecosystem.from_reserves([(float(p.x), float(p.y)) for p in eco.pools])
+            exact = no_arbitrage_certificate(eco, 200, alg, seed=seed, include_refined=refined)
+            fast = no_arbitrage_certificate(image, 200, alg, seed=seed, include_refined=refined)
+            assert abs(F(fast) - exact) <= F(1e-9) * eco.total_y
+
 
 def _screen_case(data):
     """A Fraction ecosystem of 1-4 pools, independent, equal-ratio or within
@@ -286,19 +304,18 @@ class TestFloatScreen:
         shadow = adversary._shadow(eco)
         assert shadow is not None
         for _ in range(12):
-            plan = []
-            screened = adversary._screen_cycle(shadow, alg, rng, max_legs, plan)
-            if screened is None:  # flagged: the exact pass draws the rest
-                adversary._cycle_value(eco, alg, adversary._Replay(rng, plan), max_legs, True)
+            legs = adversary._cycle_legs(rng, len(eco.pools), max_legs)
+            seen = []
+            screened = adversary._screen_cycle(shadow, alg, legs, seen)
+            if screened is None:  # flagged: the exact pass prices the rest
+                adversary._cycle_value(eco, alg, itertools.chain(seen, legs))
                 continue
-            replay = adversary._Replay(None, plan)  # no live draws may be left
-            if screened is adversary._DRAINS:  # the exact pass drains a pool on the same draws
-                assert adversary._cycle_value(eco, alg, replay, max_legs, True) is None
-                assert replay._next == len(plan)
+            if screened is adversary._DRAINS:  # the exact pass drains a pool on the same legs
+                assert adversary._cycle_value(eco, alg, iter(seen)) is None
                 continue
+            assert next(legs, None) is None  # a bounded pass drew the whole cycle
             value, err = screened
-            exact = adversary._cycle_value(eco, alg, replay, max_legs, True)
-            assert replay._next == len(plan)
+            exact = adversary._cycle_value(eco, alg, iter(seen))
             assert exact is not None
             assert abs(exact - F(value)) <= F(err)
 
@@ -327,8 +344,8 @@ class TestFloatScreen:
         shadow = adversary._shadow(eco)
         screened_rng, exact_rng = random.Random(seed), random.Random(seed)
         for _ in range(20):
-            screened = adversary._random_cycle_value(eco, alg, screened_rng, 6, True, 0, shadow)
-            exact = adversary._random_cycle_value(eco, alg, exact_rng, 6, True)
+            screened = adversary._random_cycle_value(eco, alg, screened_rng, 6, 0, shadow)
+            exact = adversary._random_cycle_value(eco, alg, exact_rng, 6)
             assert (screened is None) == (exact is None)
             assert screened_rng.getstate() == exact_rng.getstate()
 

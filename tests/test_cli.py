@@ -173,6 +173,12 @@ class TestToy:
         assert "FAIL" in out
         assert "1 of 1" in err
 
+    def test_rebalancing_is_not_a_part_algorithm(self, capsys):
+        rc, out, err = run(capsys, ["toy", "--part", "5", "--algorithm", "gmm-rebal"])
+        assert rc == 1
+        assert out == ""
+        assert err == "error: unknown algorithm 'gmm-rebal'\n"
+
     def test_unknown_part_is_usage_error(self, capsys):
         rc, _, _ = run(capsys, ["toy", "--part", "99"])
         assert rc == 2

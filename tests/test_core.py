@@ -186,10 +186,6 @@ class TestApplySwap:
         apply_swap(eco, SwapOrder("amm2", SIDE_X, F(5)), Algorithm.GMM)
         assert eco == twin_eco()
 
-    def test_rebalancing_algorithm_rejected(self):
-        with pytest.raises(DomainError):
-            apply_swap(twin_eco(), SwapOrder("amm1", SIDE_X, F(1)), Algorithm.GMM_REBAL)
-
     def test_depletion_raises(self):
         eco = Ecosystem.from_reserves([(F(100), F(5)), (F(90), F(844_439))])
         with pytest.raises(ReserveDepletionError):
@@ -319,6 +315,13 @@ class TestFloatAgreement:
             fast = gmm_out(float(dx), eco_f, "amm1")
             assert fast.classification == exact.classification
             assert abs(fast.amount_out - float(exact.amount_out)) <= 1e-9 * float(exact.amount_out)
+
+
+class TestAlgorithmParse:
+    def test_rebalancing_is_not_a_pricing_rule(self):
+        # gmm-rebal is a quote procedure of the rebalance module and the CLI
+        with pytest.raises(DomainError, match="unknown algorithm 'gmm-rebal'"):
+            Algorithm.parse("gmm-rebal")
 
 
 class TestEcosystemValidation:
