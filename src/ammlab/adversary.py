@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,15 +21,13 @@ from .core import (
     Algorithm,
     DomainError,
     Ecosystem,
-    PoolState,
     ReserveDepletionError,
     SIDE_X,
     SIDE_Y,
     SwapOrder,
     apply_swap,
-    gmm_out,
 )
-from .numeric import Num, golden_section_max, is_exact, sqrt_any
+from .numeric import Num, is_exact, sqrt_any, sqrt_bounds
 
 
 def _other(side: str) -> str:
@@ -186,86 +185,154 @@ def sandwich_profit_nsplit(x_global: Num, n: int, victim_dx: Num, attack_dx: Num
     return sandwich_profit_gmm_closed(x_global / n, x_global, victim_dx, attack_dx)
 
 
-def _float_ecosystem(eco: Ecosystem) -> Ecosystem:
-    return Ecosystem(
-        tuple(PoolState(p.pool_id, float(p.x), float(p.y)) for p in eco.pools)
-    )
+def _two_leg_sizes(alg: Algorithm, x: Num, y: Num, tx: Num, ty: Num,
+                   u: Num, v: Num) -> List[Num]:
+    """First-leg sizes among which the forward-all two-leg cycle is most
+    profitable, seen from the first leg as send-X: it sends ``d`` to a pool
+    holding ``(x, y)`` in an ecosystem with totals ``(tx, ty)``, then the
+    proceeds to a pool holding ``u`` of the received asset and ``v`` of the
+    sent one.  The inputs are all ints or all floats; the sizes are then
+    ``Fraction``s, square roots enclosed by :func:`sqrt_bounds`, or floats.
+    Every size is positive; the size 0 is left implicit.
 
+    Each leg prices against one constant product at a time, so the profit
+    is continuous and concave between breakpoints, and it peaks at a
+    breakpoint or at the stationary point of a piece.  A constant-product
+    leg (``x1`` in, ``y1`` out) whose proceeds a local leg prices composes
+    with it into one constant-product map, with reserves
+    ``X = x1*u/(y1+u)`` and ``Y = v*y1/(y1+u)``; its profit ``Y*d/(X+d) - d``
+    peaks at ``d = sqrt(X*Y) - X``, positive exactly when ``v*y1 > x1*u``.
 
-def _cycle_profit(eco: Ecosystem, alg: Algorithm, first: str, second: str,
-                  side: str, amount: Num) -> Optional[Tuple[Num, Num]]:
-    """Forward-all two-leg cycle: send ``amount`` of ``side`` to ``first``,
-    forward the proceeds to ``second``.  Returns (middle output, profit)."""
-    if amount == 0:
-        return 0, 0
-    try:
-        work, mid = apply_swap(eco, SwapOrder(first, side, amount, "arbitrageur"), alg)
-        _, back = apply_swap(work, SwapOrder(second, _other(side), mid, "arbitrageur"), alg)
-    except (ReserveDepletionError, DomainError):
+    * CPMM: both legs local, one piece.
+    * NGMM: both legs price on the aggregate reserves, whose product the
+      cycle restores, so every cycle that does not drain a pool is worth 0.
+    * GMM: a leg pays the lesser of its naive and local outputs (the cap
+      never binds, and a divergent order's naive output is the larger), so
+      it prices on the aggregate reserves exactly where the naive one is
+      lower.  The first leg does up to ``d1 = (y*tx - ty*x)/(ty - y)``.
+      After a first leg with map ``(x1, y1)`` the second leg's totals are
+      ``(ty - m, tx + d)``, so its naive output is ``(tx + d)*m/ty``, the
+      lower one where ``g(d) = (tx + d)*(u*(x1 + d) + y1*d) - v*ty*(x1 + d)``
+      is at most 0: a quadratic in ``d`` (one root is ``-tx`` when the first
+      leg is aggregate).  An aggregate second leg after a local first leg
+      earns ``y*d*(tx + d)/(ty*(x + d)) - d``, stationary where
+      ``(x + d)**2 = x*y*(tx - x)/(ty - y)``; that is below ``d1``, where
+      ``(x + d1)**2`` is ``y*(tx - x)/(x*(ty - y)) > 1`` times it, so this
+      piece peaks at a breakpoint.  A stationary point is kept only inside
+      its own piece.
+    """
+    if alg is Algorithm.NGMM:
+        return []
+    if isinstance(x, float):
+        div, root = operator.truediv, math.sqrt
+    else:  # the lower end of a 96-bit enclosure
+        div, root = Fraction, lambda n: sqrt_bounds(n, 96)[0]
+
+    def composed(x1: Num, y1: Num) -> Optional[Num]:
+        if v * y1 > x1 * u:
+            return div(root(x1 * y1 * u * v) - x1 * u, y1 + u)
         return None
-    return mid, back - amount
+
+    if alg is Algorithm.CPMM:
+        return [d for d in (composed(x, y),) if d is not None]
+    sizes: List[Num] = []
+    pieces = [(x, y, 0, None)]  # first-leg map (x1, y1) on [lo, hi]
+    if y * tx > ty * x:  # the naive output is the lower one for small sizes
+        d1 = div(y * tx - ty * x, ty - y)
+        pieces = [(tx, ty, 0, d1), (x, y, d1, None)]
+        sizes.append(d1)
+    for x1, y1, lo, hi in pieces:
+        a = u + y1
+        b = a * tx + u * x1 - v * ty
+        c = x1 * (tx * u - v * ty)
+        d = composed(x1, y1)
+        candidates = [d] if d is not None and (a * d + b) * d + c >= 0 else []
+        disc = b * b - 4 * a * c
+        if disc >= 0:  # roots q/a and c/q; this q keeps the smaller one accurate
+            q = -(b + root(disc)) / 2 if b >= 0 else (root(disc) - b) / 2
+            if q != 0:
+                candidates += [div(q, a), div(c, q)]
+        sizes += [d for d in candidates if lo < d and (hi is None or d <= hi)]
+    return sizes
 
 
-def _refined_two_leg(eco: Ecosystem, shadow: Ecosystem, alg: Algorithm, first: str,
-                     second: str, side: str) -> Optional[ArbitrageCycle]:
-    """Two-leg cycle whose first-leg size maximizes the profit on ``shadow``,
-    the float image of ``eco``, priced on ``eco``; None when it drains a pool."""
-    reserve = shadow.total_x if side == SIDE_X else shadow.total_y
-
-    def objective(q: float) -> float:
-        res = _cycle_profit(shadow, alg, first, second, side, q)
-        return float("-inf") if res is None else res[1]
-
-    q_star, _ = golden_section_max(objective, 0.0, 10.0 * float(reserve))
-    amount: Num = Fraction(q_star) if is_exact(eco.pools[0].x) else q_star
-    if amount < 0:
-        amount = 0
-    res = _cycle_profit(eco, alg, first, second, side, amount)
-    if res is None:
-        return None
-    mid, profit = res
-    legs = (
-        SwapOrder(first, side, amount, "arbitrageur"),
-        SwapOrder(second, _other(side), mid, "arbitrageur"),
-    )
-    net_start = profit
-    net_x, net_y = (net_start, 0) if side == SIDE_X else (0, net_start)
-    value_y = profit * eco.ratio if side == SIDE_X else profit
-    return ArbitrageCycle(legs, (mid, profit + amount), net_x, net_y, side, profit, value_y)
+def _two_leg_candidates(eco: Ecosystem,
+                        alg: Algorithm) -> Iterator[Tuple[str, int, int, Num, List[Num]]]:
+    """Every forward-all two-leg cycle, side Y first, as ``(side, first pool
+    index, second pool index, reserve of the first pool on that side,
+    sizes)``: it sends a size of ``side`` to the first pool and the proceeds
+    to the second.  The sizes are those of :func:`_two_leg_sizes`; an exact
+    ecosystem's are computed on integers, as they scale with the reserves.
+    """
+    pairs = list(itertools.permutations(range(len(eco.pools)), 2))
+    for side, (first, second) in itertools.product((SIDE_Y, SIDE_X), pairs):
+        a, b = eco.pools[first], eco.pools[second]
+        if side == SIDE_X:
+            view = (a.x, a.y, eco.total_x, eco.total_y, b.y, b.x)
+        else:
+            view = (a.y, a.x, eco.total_y, eco.total_x, b.x, b.y)
+        reserve = view[0]
+        scale = 1
+        if is_exact(reserve):
+            view = tuple(map(Fraction, view))
+            scale = math.lcm(*(q.denominator for q in view))
+            view = tuple(q.numerator * (scale // q.denominator) for q in view)
+        sizes = [d / scale for d in _two_leg_sizes(alg, *view)]
+        yield side, first, second, reserve, sizes
 
 
-def _refined_cycles(eco: Ecosystem, alg: Algorithm) -> Iterator[ArbitrageCycle]:
-    """The refined two-leg cycle of each side and ordered pool pair, side
-    first; cycles that drain a pool are left out."""
-    shadow = _float_ecosystem(eco)
-    ids = [p.pool_id for p in eco.pools]
-    for side in (SIDE_X, SIDE_Y):
-        for first in ids:
-            for second in ids:
-                if first != second:
-                    cycle = _refined_two_leg(eco, shadow, alg, first, second, side)
-                    if cycle is not None:
-                        yield cycle
+def _best_two_leg(eco: Ecosystem, alg: Algorithm) -> Tuple[Num, Tuple[str, int, int, Num]]:
+    """The best value (in Y at the initial global ratio) of a forward-all
+    two-leg cycle of :func:`_two_leg_candidates`, and that cycle as ``(side,
+    first pool index, second pool index, size)``.
+
+    Each size is priced as a closed cycle (see :func:`_screened_value`), so
+    a size that cannot beat the best so far is settled in float; the size 0
+    (value 0) stands when none pays.  Ties keep the earlier cycle, so a
+    cycle starting in Y, whose profit needs no valuation, wins one.
+    """
+    shadow = _shadow(eco) if is_exact(eco.pools[0].x) else None
+    best: Num = 0
+    cutoff = 0.0
+    winner: Tuple[str, int, int, Num] = (SIDE_Y, 0, 1, 0)
+    for side, first, second, reserve, sizes in _two_leg_candidates(eco, alg):
+        for d in sizes:
+            # sends d/reserve of the reserve, then all of the proceeds
+            legs = ((side, first, d, reserve), (_other(side), second, 1, 1))
+            value = _screened_value(eco, alg, iter(legs), cutoff, shadow)
+            if value is not None and value > cutoff and value > best:
+                best, cutoff = value, _float_floor(value)
+                winner = (side, first, second, d)
+    return best, winner
 
 
 def best_two_pool_arbitrage(eco: Ecosystem, alg: Algorithm) -> ArbitrageCycle:
     """Most profitable two-leg cycle on a two-pool ecosystem.
 
-    Tries both directions and both pool orders, maximizing the first-leg
-    size by a coarse scan plus golden-section refinement (relative 1e-12);
-    candidates are re-evaluated exactly on the rational path.  The winner is
-    picked by profit valued at the initial global ratio.
+    Tries both directions and both pool orders.  The first-leg size of each
+    is chosen among closed-form candidates, the breakpoints of the pricing
+    rule and the stationary point of each piece between them (see
+    :func:`_two_leg_sizes`), each priced exactly on the rational path.  The
+    winner is picked by profit valued at the initial global ratio; a tie
+    goes to a cycle that starts in Y.
     """
     if len(eco.pools) != 2:
         raise DomainError("two-pool search needs exactly two pools")
-    best = max(_refined_cycles(eco, alg), key=lambda cycle: cycle.value_y, default=None)
-    if best is None:
-        raise DomainError("no two-leg cycle could be priced: every candidate drains a pool")
-    return best
+    _, (side, first, second, amount) = _best_two_leg(eco, alg)
+    opening = SwapOrder(eco.pools[first].pool_id, side, amount, "arbitrageur")
+    work, mid = apply_swap(eco, opening, alg)
+    closing = SwapOrder(eco.pools[second].pool_id, _other(side), mid, "arbitrageur")
+    _, back = apply_swap(work, closing, alg)
+    profit = back - amount
+    legs = (opening, closing)
+    net_x, net_y = (profit, 0) if side == SIDE_X else (0, profit)
+    value_y = profit * eco.ratio if side == SIDE_X else profit
+    return ArbitrageCycle(legs, (mid, profit + amount), net_x, net_y, side, profit, value_y)
 
 
-#: One leg of a random cycle: side sent, pool index, and the fraction k/den sent.
-_Leg = Tuple[str, int, int, int]
+#: One leg of a closed cycle: side sent, pool index, and the fraction k/den
+#: sent; ints in a random cycle, rationals in a two-leg candidate.
+_Leg = Tuple[str, int, Num, Num]
 
 
 def _cycle_legs(rng: random.Random, n_pools: int, max_legs: int) -> Iterator[_Leg]:
@@ -379,17 +446,18 @@ def _shadow(eco: Ecosystem) -> Optional[_Shadow]:
 
 def _screen_leg(res: List[List[float]], tot: List[float], s: int, i: int,
                 d: float, rd: float, bound: float,
-                alg: Algorithm) -> Union[None, str, Tuple[float, float, float, int]]:
+                alg: Algorithm) -> Union[None, str, Tuple[float, float, float, Optional[int]]]:
     """Float image of :func:`apply_swap` sending ``d`` of side ``s`` to pool
     ``i``, updating ``res`` and ``tot`` in place.
 
     ``d`` is within relative ``rd`` of its exact value and every reserve and
     total within ``bound``.  Returns ``(out, bound on out, bound on the
     state after the leg, the constant product that priced it)`` -- pool
-    ``i``, or -1 for the aggregate one.  Returns ``_DRAINS`` when the exact
-    swap certainly drains the pool, and None when a branch of the pricing
-    rule lands within its error bound of a tie, or the exact swap could
-    drain the pool.
+    ``i``, -1 for the aggregate one, or None when the global rule's two
+    outputs are within their bound of each other.  Returns ``_DRAINS`` when
+    the exact swap certainly drains the pool, and None when the naive
+    rule's cap lands within its error bound of a tie, or the exact swap
+    could drain the pool.
     """
     o = 1 - s
     x = res[s][i]
@@ -405,39 +473,23 @@ def _screen_leg(res: List[List[float]], tot: List[float], s: int, i: int,
     if alg is Algorithm.CPMM:
         out = local
     else:
-        divergent = False
-        if alg is Algorithm.GMM:
-            # r_i <= r_rest, cross-multiplied: y * (tx - x) <= (ty - y) * x
-            cx = tx - x
-            cy = ty - y
-            lhs = y * cx
-            rhs = cy * x
-            e_lhs = (bound * (tx + x) + _EPS * abs(cx)) * y + (bound + _EPS) * abs(lhs)
-            e_rhs = (bound * (ty + y) + _EPS * abs(cy)) * x + (bound + _EPS) * abs(rhs)
-            if not abs(lhs - rhs) > 2 * (e_lhs + e_rhs):
-                return None
-            divergent = lhs <= rhs
-        if divergent:
-            out = local
-        else:
-            raw = ty * d / (tx + d)  # within r_out too
+        raw = ty * d / (tx + d)  # within r_out too
+        if alg is Algorithm.NGMM:
             if not abs(raw - y) > 2 * (r_out * raw + bound * y):
                 return None
-            if raw >= y:  # the naive output is capped at y
-                if alg is Algorithm.NGMM:
-                    return _DRAINS  # the naive output is y: the exact swap drains the pool
-                out = local  # local < y: overshooting
-            elif alg is Algorithm.NGMM:
-                out = raw
+            if raw >= y:  # the naive output is capped at y: the exact swap drains the pool
+                return _DRAINS
+            out = raw
+            product = -1
+        else:
+            # the global rule pays min(naive, local), which is min(raw, local)
+            # as local < y (a divergent order has raw >= local), whatever the
+            # classification: no tie of it changes the output
+            out = min(raw, local)
+            if not abs(raw - local) > 2 * r_out * (raw + local):
+                product = None  # either constant product may have priced it
+            elif raw < local:
                 product = -1
-            else:
-                if not abs(raw - local) > 2 * r_out * (raw + local):
-                    return None
-                if raw <= local:  # convergent
-                    out = raw
-                    product = -1
-                else:
-                    out = local
     if not out >= _OUT_FLOOR:
         return None
     rest = y - out
@@ -476,7 +528,9 @@ def _screen_cycle(shadow: _Shadow, alg: Algorithm, legs: Iterator[_Leg],
     seen.append(leg)
     side_sent, i, k, den = leg
     side = 0 if side_sent == SIDE_X else 1
-    opening = res[side][i] * (k / den)  # k / 128 is exact
+    # k / 128 is exact; a two-leg size over its reserve rounds once, as does
+    # the product and the float reserve: three roundings of at most _EPS / 2
+    opening = res[side][i] * (k / den)
     r_open = 2 * _EPS
     priced = _screen_leg(res, tot, side, i, opening, r_open, _EPS, alg)
     if priced is None or priced is _DRAINS:
@@ -485,7 +539,7 @@ def _screen_cycle(shadow: _Shadow, alg: Algorithm, legs: Iterator[_Leg],
     hold = [0.0, 0.0]
     hold[1 - side] = out
     bound = max(after, r_out)  # from here on it covers the holdings too
-    one_product = True
+    one_product = product is not None
     for leg in legs:
         seen.append(leg)
         side_sent, i, k, den = leg
@@ -521,15 +575,21 @@ def _screen_cycle(shadow: _Shadow, alg: Algorithm, legs: Iterator[_Leg],
 def _random_cycle_value(eco: Ecosystem, alg: Algorithm, rng: random.Random,
                         max_legs: int, best: Num = 0,
                         shadow: Optional[_Shadow] = None) -> Optional[Num]:
-    """Value of the next random cycle drawn from ``rng`` (see
-    :func:`_cycle_value`), or None when it drains a pool.
+    """Value of the next random cycle drawn from ``rng``, screened as in
+    :func:`_screened_value`; None when it drains a pool."""
+    return _screened_value(eco, alg, _cycle_legs(rng, len(eco.pools), max_legs), best, shadow)
+
+
+def _screened_value(eco: Ecosystem, alg: Algorithm, legs: Iterator[_Leg], best: Num,
+                    shadow: Optional[_Shadow]) -> Optional[Num]:
+    """Value of the closed cycle ``legs`` (see :func:`_cycle_value`), or
+    None when it drains a pool.
 
     With a ``shadow`` the cycle runs in float first.  When that pass proves
     the exact value is at most ``best``, the returned value is its float
     upper bound, itself at most ``best``; otherwise the cycle re-runs
     exactly on the same legs.
     """
-    legs = _cycle_legs(rng, len(eco.pools), max_legs)
     if shadow is None:
         return _cycle_value(eco, alg, legs)
     seen: List[_Leg] = []
@@ -554,8 +614,9 @@ def no_arbitrage_certificate(
     max_legs: int = 6,
     include_refined: bool = True,
 ) -> Num:
-    """Maximum profit found over randomized multi-leg cycles (plus refined
-    two-leg candidates for every pool pair), valued in Y units.
+    """Maximum profit found over randomized multi-leg cycles (plus the best
+    two-leg cycle of every ordered pool pair and side, sized in closed form
+    and priced exactly), valued in Y units.
 
     A nonpositive result over a large sample is the statistical certificate
     that the ecosystem admits no profitable cycle; under the global rule the
@@ -567,9 +628,7 @@ def no_arbitrage_certificate(
     rng = random.Random(seed)
     best: Num = 0
     if include_refined:
-        for cycle in _refined_cycles(eco, alg):
-            if cycle.value_y > best:
-                best = cycle.value_y
+        best, _ = _best_two_leg(eco, alg)
     shadow = _shadow(eco) if is_exact(eco.pools[0].x) else None
     cutoff = _float_floor(best)
     for _ in range(samples):
@@ -610,36 +669,6 @@ def replay_exploit_sequence(
     return ExploitReport(tuple(deltas), tuple(exploited), work)
 
 
-def _refine_stationary(total_x: Fraction, total_y: Fraction, r_new: Fraction,
-                       guess: Fraction, steps: int = 90) -> Fraction:
-    """Polish the second trade's size past float noise.
-
-    The insider's marginal profit on the naive-global leg changes sign where
-    ``total_x * total_y = r_new * (total_x + d)^2``; bisecting on that sign
-    is exact in rational arithmetic and stays independent of the benchmark's
-    closed form.
-    """
-    def rising(d: Fraction) -> bool:
-        edge = total_x + d
-        return total_x * total_y > r_new * edge * edge
-
-    lo = guess * Fraction(999, 1000)
-    hi = guess * Fraction(1001, 1000)
-    while not rising(lo):
-        lo /= 2
-        if lo < Fraction(1, 10**12):
-            return guess
-    while rising(hi):
-        hi *= 2
-    for _ in range(steps):
-        mid = (lo + hi) / 2
-        if rising(mid):
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
 def _common_ratio(eco: Ecosystem) -> Num:
     first = eco.pools[0]
     for pool in eco.pools[1:]:
@@ -659,7 +688,9 @@ def insider_optimal_trades(eco: Ecosystem, r_new: Num) -> List[SwapOrder]:
     The first trade hits the larger pool at local constant-product prices
     and lands it exactly on ``r_new``; the second hits the smaller pool at
     naive-global prices with the size that maximizes the insider's position
-    value, found by golden-section search.  When ``r_new`` is above the
+    value.  Its marginal profit ``total_x*total_y/(total_x + d)**2 - r_new``
+    vanishes at ``d = sqrt(total_x*total_y/r_new) - total_x``, the totals
+    taken after the first trade.  When ``r_new`` is above the
     current ratio the whole construction runs on relabeled assets.  After
     both trades every pool's marginal ratio equals ``r_new``.
     """
@@ -683,22 +714,8 @@ def insider_optimal_trades(eco: Ecosystem, r_new: Num) -> List[SwapOrder]:
 
     after_first, _ = apply_swap(eco, first, Algorithm.GMM)
     small = eco.pools[1 - large_idx]
-    shadow = _float_ecosystem(after_first)
-    target = float(r_new)
-
-    def objective(d: float) -> float:
-        if d <= 0.0:
-            return 0.0
-        return gmm_out(d, shadow, small.pool_id).amount_out - target * d
-
-    hi = float(sqrt_any(shadow.total_x * shadow.total_y / target))
-    d_star, _ = golden_section_max(objective, 0.0, hi)
-    if is_exact(eco.pools[0].x):
-        amount: Num = _refine_stationary(
-            after_first.total_x, after_first.total_y, r_new, Fraction(d_star)
-        )
-    else:
-        amount = d_star
+    total_x, total_y = after_first.total_x, after_first.total_y
+    amount = sqrt_any(total_x * total_y / r_new) - total_x
     return [first, SwapOrder(small.pool_id, SIDE_X, amount, "insider")]
 
 

@@ -38,6 +38,7 @@ from .replay import (
     ScenarioConfig,
     il_portfolio_report,
     parse_log,
+    parse_number,
     run_counterfactual,
 )
 
@@ -56,8 +57,8 @@ def _parse_pools(text: str) -> Ecosystem:
     for chunk in text.split(","):
         try:
             x_s, y_s = chunk.split(":")
-            pairs.append((Fraction(x_s), Fraction(y_s)))
-        except (ValueError, ZeroDivisionError):
+            pairs.append((parse_number(x_s), parse_number(y_s)))
+        except ValueError:
             raise DomainError(f"bad pool entry {chunk!r}, expected X:Y") from None
     return Ecosystem.from_reserves(pairs)
 
@@ -65,8 +66,8 @@ def _parse_pools(text: str) -> Ecosystem:
 def _parse_range(text: str) -> List[Fraction]:
     try:
         lo_s, hi_s, step_s = text.split(":")
-        lo, hi, step = Fraction(lo_s), Fraction(hi_s), Fraction(step_s)
-    except (ValueError, ZeroDivisionError):
+        lo, hi, step = parse_number(lo_s), parse_number(hi_s), parse_number(step_s)
+    except ValueError:
         raise DomainError(f"bad range {text!r}, expected lo:hi:step") from None
     if step <= 0 or hi < lo:
         return []
@@ -94,7 +95,7 @@ def cmd_quote(args) -> int:
     if not 0 <= args.pool_index < len(eco.pools):
         raise DomainError(f"pool index {args.pool_index} out of range")
     pool_id = eco.pools[args.pool_index].pool_id
-    amount = Fraction(args.amount)
+    amount = parse_number(args.amount)
     rebalancing = args.algorithm == "gmm-rebal"  # a quote procedure, not an Algorithm
     if args.force_trigger and not rebalancing:
         raise DomainError("--force-trigger only applies to gmm-rebal")
@@ -123,8 +124,8 @@ def cmd_sweep(args) -> int:
         if not attacks:
             print("error: empty attack range", file=sys.stderr)
             return 2
-        xi = Fraction(args.xi)
-        victim = Fraction(args.victim)
+        xi = parse_number(args.xi)
+        victim = parse_number(args.victim)
         alg = Algorithm.parse(args.algorithm)
         if alg is Algorithm.CPMM:
             rows = [(a, sandwich_profit_cpmm_closed(xi, victim, a)) for a in attacks]
@@ -132,7 +133,7 @@ def cmd_sweep(args) -> int:
             if args.x is None:
                 print("error: gmm sweep needs --x (global reserve)", file=sys.stderr)
                 return 2
-            xg = Fraction(args.x)
+            xg = parse_number(args.x)
             rows = [(a, sandwich_profit_gmm_closed(xi, xg, victim, a)) for a in attacks]
         else:
             print(f"error: unsupported sweep algorithm {args.algorithm}", file=sys.stderr)
@@ -142,7 +143,7 @@ def cmd_sweep(args) -> int:
 
     # curve == "il"
     if args.ratio is not None:
-        ratios = [Fraction(args.ratio)]
+        ratios = [parse_number(args.ratio)]
     elif args.ratio_range is not None:
         ratios = [r for r in _parse_range(args.ratio_range) if r > 0]
     else:
@@ -150,7 +151,7 @@ def cmd_sweep(args) -> int:
     if not ratios:
         print("error: empty ratio range", file=sys.stderr)
         return 2
-    alpha = Fraction(args.alpha)
+    alpha = parse_number(args.alpha)
     rows = [(r, il_cpmm(1, r) if r != 1 else 0, il_gmm_small_pool(1, r, alpha) if r != 1 else 0)
             for r in ratios]
     _write_csv(args.out, ["ratio", "il_cpmm", "il_gmm"], rows)
@@ -168,7 +169,7 @@ def cmd_toy(args) -> int:
             continue
         print(f"{status}  {c.name.ljust(width)}  expected={c.expected} actual={c.actual}")
     if failed:
-        print(f"{len(failed)} of {len(checks)} checks failed", file=sys.stderr)
+        print(f"error: {len(failed)} of {len(checks)} checks failed", file=sys.stderr)
         return 1
     if not _quiet():
         print(f"all {len(checks)} checks passed")
@@ -178,7 +179,7 @@ def cmd_toy(args) -> int:
 def cmd_replay(args) -> int:
     records = parse_log(args.log)
     if args.il:
-        alphas = [Fraction(a) for a in args.alphas.split(",") if a]
+        alphas = [parse_number(a) for a in args.alphas.split(",") if a]
         report = il_portfolio_report(records, alphas, Fraction(str(args.lambda_threshold)))
         payload = report.to_json_dict()
     else:

@@ -139,17 +139,6 @@ class Ecosystem:
         """Global marginal price of X in Y units."""
         return self.total_y / self.total_x
 
-    def complement_x(self, pool_id: str) -> Num:
-        return self.total_x - self.pool(pool_id).x
-
-    def complement_y(self, pool_id: str) -> Num:
-        return self.total_y - self.pool(pool_id).y
-
-    def with_pool(self, pool: PoolState) -> "Ecosystem":
-        idx = self.index_of(pool.pool_id)
-        old = self.pools[idx]
-        return self._successor(idx, pool, pool.x - old.x, pool.y - old.y)
-
     def _successor(self, idx: int, pool: PoolState, dx: Num, dy: Num) -> "Ecosystem":
         """This ecosystem with ``pools[idx]`` replaced by ``pool``, whose
         reserves differ from the old ones by ``(dx, dy)``.

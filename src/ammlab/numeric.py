@@ -1,5 +1,5 @@
-"""Shared numeric helpers: square roots with exactness control and a
-derivative-free maximizer.
+"""Shared numeric helpers: the number types and square roots with
+exactness control.
 
 Amounts in this package are either ``fractions.Fraction`` (the exact
 reference arithmetic) or ``float`` (the fast path).  Square roots are the
@@ -13,12 +13,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Tuple, Union
+from typing import Tuple, Union
 
 Num = Union[int, float, Fraction]
-
-#: Golden ratio minus one; step factor of the section search.
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def is_exact(value: Num) -> bool:
@@ -60,54 +57,3 @@ def sqrt_any(value: Num, bits: int = 96):
     if lo == hi:
         return lo
     return (lo + hi) / 2
-
-
-def rel_close(a: Num, b: Num, rel: float = 1e-12) -> bool:
-    """Relative closeness that degrades to exact equality for exact inputs."""
-    if is_exact(a) and is_exact(b):
-        return a == b
-    fa, fb = float(a), float(b)
-    return abs(fa - fb) <= rel * max(abs(fa), abs(fb), 1e-300)
-
-
-def golden_section_max(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-12,
-    coarse: int = 33,
-) -> Tuple[float, float]:
-    """Maximize ``fn`` over ``[lo, hi]``; returns ``(argmax, max)``.
-
-    A coarse scan brackets the best region first, which keeps the search
-    robust when the objective is only piecewise smooth (branch switches in
-    the pricing rules); golden-section then refines the bracket down to
-    ``rel_tol`` relative interval width.
-    """
-    if not hi > lo:
-        raise ValueError("empty search interval")
-    xs = [lo + (hi - lo) * k / (coarse - 1) for k in range(coarse)]
-    vals = [fn(x) for x in xs]
-    best = max(range(coarse), key=lambda k: vals[k])
-    a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, coarse - 1)]
-
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    scale = max(abs(a), abs(b), 1.0)
-    while (b - a) > rel_tol * scale:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-    x_star = (a + b) / 2.0
-    f_star = fn(x_star)
-    # never do worse than the coarse scan
-    if vals[best] > f_star:
-        return xs[best], vals[best]
-    return x_star, f_star

@@ -23,7 +23,7 @@ from .core import (
     cpmm_out,
     gmm_out,
 )
-from .numeric import Num, is_exact, rel_close, sqrt_any
+from .numeric import Num, is_exact, sqrt_any
 
 #: Relative tolerance closing the rebalancing loop on the float path; the
 #: exact path terminates on equality after at most ``len(pools) - 1`` moves.
@@ -136,7 +136,8 @@ def inter_pool_quote(dx: Num, to_pool: str, eco: Ecosystem) -> Num:
 def _ratio_strictly_below(num_ratio: Num, target: Num) -> bool:
     if is_exact(num_ratio) and is_exact(target):
         return num_ratio < target
-    return num_ratio < target and not rel_close(num_ratio, target, FLOAT_RATIO_TOL)
+    gap = float(target) - float(num_ratio)
+    return gap > FLOAT_RATIO_TOL * max(abs(float(num_ratio)), abs(float(target)), 1e-300)
 
 
 def rebalance_pools(

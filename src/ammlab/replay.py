@@ -130,7 +130,9 @@ class ScenarioConfig:
         beta = raw.get("external_reserve_multiple")
         if not isinstance(beta, (str, int, float, type(None))):
             raise DomainError("reserve multiple must be a number or a decimal string")
-        if beta is not None:
+        if isinstance(beta, str):
+            beta = parse_number(beta)
+        elif beta is not None:  # a JSON number is bounded, and so is its Fraction
             beta = Fraction(str(beta))
         return cls(
             algorithm=Algorithm.parse(raw["algorithm"]),
@@ -213,6 +215,20 @@ def _oversized_literal(fields: Sequence[str]) -> bool:
             except ValueError:
                 pass  # not a number at all: Fraction rejects it below
     return False
+
+
+def parse_number(text: str) -> Fraction:
+    """A numeric literal given outside a log (a CLI flag, a scenario string)
+    as a ``Fraction``.  Literals over the log's caps (so ``1e999999999`` is
+    not expanded) and zero denominators are a ``DomainError``; other text
+    raises ``Fraction``'s ``ValueError``."""
+    if _oversized_literal((text,)):
+        raise DomainError(f"numeric literal longer than {MAX_LITERAL_CHARS} characters "
+                          f"or with an exponent beyond {MAX_LITERAL_EXPONENT}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise DomainError(f"zero denominator in {text!r}") from None
 
 
 def _decimal(text: str, memo: Dict[str, Fraction]) -> Fraction:

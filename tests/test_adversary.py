@@ -28,6 +28,7 @@ from ammlab.core import (
     SIDE_Y,
     SwapOrder,
     apply_swap,
+    quote_order,
 )
 from ammlab.toy import _part5_orders
 
@@ -208,11 +209,94 @@ class TestTwoPoolArbitrage:
         with pytest.raises(DomainError):
             best_two_pool_arbitrage(Ecosystem.from_reserves([(F(1), F(1))]), Algorithm.CPMM)
 
-    def test_no_priced_candidate_is_domain_error(self, monkeypatch):
-        # every candidate cycle drains a pool
-        monkeypatch.setattr(adversary, "_refined_two_leg", lambda *args: None)
-        with pytest.raises(DomainError, match="no two-leg cycle could be priced"):
-            best_two_pool_arbitrage(self.post_trade_eco(), Algorithm.CPMM)
+    def test_no_paying_size_leaves_the_empty_cycle(self):
+        # under the naive rule every two-leg cycle that does not drain a pool
+        # is worth 0, so the size-0 cycle stands, and it executes
+        eco = self.post_trade_eco()
+        cycle = best_two_pool_arbitrage(eco, Algorithm.NGMM)
+        assert cycle.value_y == 0 and cycle.profit == 0
+        assert [order.amount_in for order in cycle.legs] == [0, 0]
+        work = eco
+        for order, expected_out in zip(cycle.legs, cycle.leg_outputs):
+            work, out = apply_swap(work, order, Algorithm.NGMM)
+            assert out == expected_out
+
+
+def _two_leg_value(eco, alg, side, first, second, reserve, size):
+    """Exact value of the forward-all two-leg cycle sending ``size``, or
+    None when it drains a pool."""
+    other = SIDE_X if side == SIDE_Y else SIDE_Y
+    legs = ((side, first, size, reserve), (other, second, 1, 1))
+    return adversary._cycle_value(eco, alg, iter(legs))
+
+
+def _two_leg_branches(eco, alg, side, first, second, size):
+    """Pricing branch of each leg of the two-leg cycle sending ``size``."""
+    other = SIDE_X if side == SIDE_Y else SIDE_Y
+    order = SwapOrder(eco.pools[first].pool_id, side, size)
+    work, mid = apply_swap(eco, order, alg)
+    closing = SwapOrder(eco.pools[second].pool_id, other, mid)
+    return quote_order(eco, order, alg).branch, quote_order(work, closing, alg).branch
+
+
+class TestClosedFormTwoLeg:
+    # 99 seeded exact ecosystems of 2-3 pools, 33 per rule
+    @pytest.mark.parametrize("alg", [Algorithm.CPMM, Algorithm.GMM, Algorithm.NGMM])
+    def test_no_grid_point_or_neighbour_beats_the_chosen_size(self, alg):
+        # the 33-point grid on [0, 10 * reserve] is the coarse scan of the
+        # golden-section search the closed forms replaced
+        rng = random.Random(f"two-leg/{alg.value}")
+        step = 1 + F(1, 2**20)
+        for _ in range(33):
+            eco = Ecosystem.from_reserves(
+                [(F(rng.randint(10_000, 5_000_000), rng.randint(1, 9)),
+                  F(rng.randint(10_000, 5_000_000), rng.randint(1, 9)))
+                 for _ in range(rng.randint(2, 3))]
+            )
+            best = 0
+            for side, first, second, reserve, sizes in adversary._two_leg_candidates(eco, alg):
+                case = (eco, alg, side, first, second, reserve)
+                value, size = 0, 0
+                for d in sizes:
+                    v = _two_leg_value(*case, d)
+                    if v is not None and v > value:
+                        value, size = v, d
+                total = eco.total_x if side == SIDE_X else eco.total_y
+                probes = [10 * total * k / 32 for k in range(33)] + [size / step, size * step]
+                for d in probes:
+                    v = _two_leg_value(*case, d)
+                    assert v is None or v <= value
+                best = max(best, value)
+            assert adversary._best_two_leg(eco, alg)[0] == best
+
+    def test_sizes_are_breakpoints_or_piece_maxima(self):
+        # under the global rule a leg's branch changes only at a size: where
+        # the first leg turns overshooting, or where the second leg's naive
+        # and local outputs cross; every other size is a local maximum
+        rng = random.Random("two-leg/branches")
+        step = 1 + F(1, 2**20)
+        switches = 0
+        for _ in range(12):
+            eco = Ecosystem.from_reserves(
+                [(F(rng.randint(10_000, 5_000_000)), F(rng.randint(10_000, 5_000_000)))
+                 for _ in range(rng.randint(2, 3))]
+            )
+            candidates = adversary._two_leg_candidates(eco, Algorithm.GMM)
+            for side, first, second, reserve, sizes in candidates:
+                case = (eco, Algorithm.GMM, side, first, second)
+                total = eco.total_x if side == SIDE_X else eco.total_y
+                grid = [10 * total * k / 64 for k in range(1, 65)]
+                branches = [_two_leg_branches(*case, d) for d in grid]
+                for lo, hi, before, after in zip(grid, grid[1:], branches, branches[1:]):
+                    if before != after:
+                        switches += 1
+                        assert any(lo <= d <= hi for d in sizes)
+                for d in sizes:
+                    if _two_leg_branches(*case, d / step) == _two_leg_branches(*case, d * step):
+                        value = _two_leg_value(*case, reserve, d)
+                        assert value >= _two_leg_value(*case, reserve, d / step)
+                        assert value >= _two_leg_value(*case, reserve, d * step)
+        assert switches > 0
 
 
 class TestCertificate:
@@ -348,6 +432,33 @@ class TestFloatScreen:
             exact = adversary._random_cycle_value(eco, alg, exact_rng, 6)
             assert (screened is None) == (exact is None)
             assert screened_rng.getstate() == exact_rng.getstate()
+
+    def test_bound_holds_at_and_near_a_branch_tie(self):
+        # the two-leg sizes of the global rule are its branch ties; there
+        # the float pass may not claim that one constant product priced a leg
+        rng = random.Random("screen/ties")
+        near = 1 + F(1, 2**60)
+        checked = 0
+        for _ in range(12):
+            eco = Ecosystem.from_reserves(
+                [(F(rng.randint(10_000, 5_000_000)), F(rng.randint(10_000, 5_000_000)))
+                 for _ in range(rng.randint(2, 3))]
+            )
+            shadow = adversary._shadow(eco)
+            for side, first, second, reserve, sizes in adversary._two_leg_candidates(
+                    eco, Algorithm.GMM):
+                other = SIDE_X if side == SIDE_Y else SIDE_Y
+                for d in sizes:
+                    for size in (d / near, d, d * near):
+                        legs = ((side, first, size, reserve), (other, second, 1, 1))
+                        screened = adversary._screen_cycle(shadow, Algorithm.GMM, iter(legs), [])
+                        if screened is None:
+                            continue
+                        checked += 1
+                        value, err = screened
+                        exact = adversary._cycle_value(eco, Algorithm.GMM, iter(legs))
+                        assert abs(exact - F(value)) <= F(err)
+        assert checked > 0
 
     def test_out_of_range_reserves_are_not_screened(self):
         assert adversary._shadow(Ecosystem.from_reserves([(F(1), F(2) ** 101)])) is None

@@ -1,7 +1,12 @@
+import contextlib
 import csv
+import io
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ammlab import toy
 from ammlab.cli import main
@@ -269,7 +274,11 @@ class TestReplay:
         payload = json.loads(out_file.read_text())
         assert payload["total_attacker_profit_usd"] == pytest.approx(10_093.46, abs=0.01)
 
-    @pytest.mark.parametrize("config", [[], {}, {"algorithm": "gmm", "split_count": True}])
+    @pytest.mark.parametrize("config", [
+        [], {}, {"algorithm": "gmm", "split_count": True},
+        {"algorithm": "gmm", "external_reserve_multiple": "1/0"},
+        {"algorithm": "gmm", "external_reserve_multiple": "1e999999"},
+    ])
     def test_malformed_config_is_domain_error(self, capsys, tmp_path, config):
         log, cfg = self.write_inputs(tmp_path, config)
         rc, out, err = run(capsys, ["replay", "--log", str(log), "--config", str(cfg)])
@@ -320,3 +329,97 @@ class TestReplay:
         )
         assert payload["total_attacker_profit_usd"] == float(direct.total_attacker_profit_usd)
         assert payload["attack_count"] == direct.attack_count
+
+
+#: The subcommands and their flags, for the fuzz test.
+_COMMANDS = {
+    "quote": ("--pools", "--amount", "--send", "--pool-index", "--algorithm", "--force-trigger"),
+    "sweep mev": ("--xi", "--victim", "--range", "--algorithm", "--x", "--out"),
+    "sweep il": ("--alpha", "--ratio", "--ratio-range", "--out"),
+    "toy": ("--part", "--algorithm"),
+    "replay": ("--log", "--config", "--out", "--il", "--alphas", "--lambda-threshold",
+               "--attacks-csv"),
+}
+_SWITCHES = ("--force-trigger", "--il")
+_NUMBERS = ("0", "1", "-1", "2.5", "1/3", "1/0", "0.5", "1e400", "1e-400", "1e999999",
+            "nan", "inf", "", "abc", "1_000", "٣")
+_PATHS = ("log.csv", "config.json", "bad.json", "missing.csv", ".", "out.json")
+_FLAG_VALUES = {
+    "--pools": ("100:400000,100:400000", "90:440000,210:760000", "1:1", "1:", "0:1", "1/0:1",
+                "a:b", "1e400:1"),
+    "--amount": ("1", "44444", "0", "-1", "1/0", "1e400"),
+    "--pool-index": ("0", "1", "-1", "7"),
+    "--send": ("X", "Y", "Z"),
+    "--algorithm": ("cpmm", "gmm", "ngmm", "gmm-rebal", "foo"),
+    "--xi": ("400000", "0", "-1", "1/0"),
+    "--victim": ("40000", "0", "-1"),
+    "--range": ("1:10:1", "0:1000:100", "1:2:0", "2:1:1", "1:1e400:1", "1:2:1/0", "1:2:1e-90"),
+    "--x": ("800000", "1", "1/0"),
+    "--alpha": ("0.5", "0.25", "0", "2"),
+    "--ratio": ("2", "0", "-1"),
+    "--ratio-range": ("1/2:3:1/2", "0:3:1/2", "1:2:0", "1:1e400:1"),
+    "--part": ("1", "5", "8", "9", "x"),
+    "--log": ("log.csv", "missing.csv", ".", "bad.json"),
+    "--config": ("config.json", "bad.json", "missing.csv"),
+    "--alphas": ("0.5,0.25", "0,1", "1/0", "0.1,,x"),
+    "--lambda-threshold": ("10", "0", "-1", "inf", "nan"),
+    "--out": ("out.json",),
+    "--attacks-csv": ("attacks.csv",),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A command line of a real subcommand and its flags, each present three
+    times in four with a value drawn for it (three times in four one meant
+    for it), and one time in four a stray token."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = command.split()
+    # draws shrink towards 0: present, a value meant for the flag, no stray token
+    for flag in _COMMANDS[command]:
+        if draw(st.integers(0, 3)) < 3:
+            argv.append(flag)
+            if flag not in _SWITCHES:
+                values = _FLAG_VALUES[flag] if draw(st.integers(0, 3)) < 3 else _NUMBERS + _PATHS
+                argv.append(draw(st.sampled_from(values)))
+    if draw(st.integers(0, 3)) == 3:
+        stray = st.one_of(st.sampled_from(sum(_COMMANDS.values(), ("--help", "bogus"))),
+                          st.sampled_from(_NUMBERS), st.text(max_size=6))
+        argv.insert(draw(st.integers(0, len(argv))), draw(stray))
+    return argv
+
+
+class TestFuzz:
+    @pytest.fixture(scope="class", autouse=True)
+    def workdir(self, tmp_path_factory):
+        # relative paths in the drawn arguments resolve here
+        path = tmp_path_factory.mktemp("fuzz")
+        (path / "log.csv").write_text(PART2_LOG)
+        (path / "config.json").write_text(json.dumps({"algorithm": "gmm", "reserve_multiple": 1}))
+        (path / "bad.json").write_text("{not json")
+        cwd = os.getcwd()
+        os.chdir(path)
+        yield path
+        os.chdir(cwd)
+
+    @given(argv=_argv())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_exit_code_and_error_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        text = err.getvalue()
+        assert rc in (0, 1, 2), argv
+        assert "Traceback" not in text
+        assert text == "" or text.startswith(("error:", "usage:")), (argv, text)
+
+    @pytest.mark.parametrize("argv", [
+        ["quote", "--pools", "1:1", "--amount", "1/0"],
+        ["quote", "--pools", "1:1", "--amount", "1e999999"],
+        ["sweep", "mev", "--xi", "1/0", "--victim", "1", "--range", "1:2:1"],
+        ["sweep", "il", "--ratio", "2", "--alpha", "1/0"],
+    ])
+    def test_bad_number_is_domain_error(self, capsys, argv):
+        rc, _, err = run(capsys, argv)
+        assert rc == 1
+        assert err.startswith("error:")

@@ -248,9 +248,6 @@ class TestApplySwap:
                 assert (work.total_x, work.total_y) == (fresh.total_x, fresh.total_y)
                 assert type(work.total_x) is type(fresh.total_x)
                 assert work.pool(pool.pool_id) is work.pools[k % len(work.pools)]
-            replaced = work.with_pool(PoolState("amm1", conv(7), conv(3)))
-            fresh = Ecosystem(replaced.pools)
-            assert (replaced.total_x, replaced.total_y) == (fresh.total_x, fresh.total_y)
 
 
 class TestPoolValue:
@@ -341,5 +338,3 @@ class TestEcosystemValidation:
         eco = Ecosystem.from_reserves([(F(90), F(444_444)), (F(100), F(400_000))])
         assert eco.total_x == 190
         assert eco.total_y == 844_444
-        assert eco.complement_x("amm1") == 100
-        assert eco.complement_y("amm2") == 444_444

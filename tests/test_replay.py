@@ -138,7 +138,9 @@ class TestScenarioConfig:
             '{"algorithm": "gmm", "external_reserve_multiple": 0.05, "arithmetic": "rational", "seed": 3}'
         )
         assert cfg.external_reserve_multiple == F(1, 20)
-        for bad in ('[]', '{}', '{"algorithm": "gmm", "split_count": true}'):
+        for bad in ('[]', '{}', '{"algorithm": "gmm", "split_count": true}',
+                    '{"algorithm": "gmm", "external_reserve_multiple": "1/0"}',
+                    '{"algorithm": "gmm", "external_reserve_multiple": "1e999999"}'):
             with pytest.raises(DomainError):
                 ScenarioConfig.from_json(bad)
         with pytest.raises(DomainError):
