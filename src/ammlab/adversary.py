@@ -291,7 +291,7 @@ def _best_two_leg(eco: Ecosystem, alg: Algorithm) -> Tuple[Num, Tuple[str, int, 
     (value 0) stands when none pays.  Ties keep the earlier cycle, so a
     cycle starting in Y, whose profit needs no valuation, wins one.
     """
-    shadow = _shadow(eco) if is_exact(eco.pools[0].x) else None
+    shadow = _shadow(eco)
     best: Num = 0
     cutoff = 0.0
     winner: Tuple[str, int, int, Num] = (SIDE_Y, 0, 1, 0)
@@ -429,8 +429,11 @@ class _Shadow:
 
 
 def _shadow(eco: Ecosystem) -> Optional[_Shadow]:
-    """The float image of ``eco``, or None when a reserve is outside the
-    range the error bound assumes (its cycles then all run exactly)."""
+    """The float image of an exact ``eco``, or None: for a float ecosystem
+    (it needs no screen), and when a reserve is outside the range the error
+    bound assumes (its cycles then all run exactly)."""
+    if not is_exact(eco.pools[0].x):
+        return None
     try:
         xs = tuple(float(p.x) for p in eco.pools)
         ys = tuple(float(p.y) for p in eco.pools)
@@ -629,7 +632,7 @@ def no_arbitrage_certificate(
     best: Num = 0
     if include_refined:
         best, _ = _best_two_leg(eco, alg)
-    shadow = _shadow(eco) if is_exact(eco.pools[0].x) else None
+    shadow = _shadow(eco)
     cutoff = _float_floor(best)
     for _ in range(samples):
         value = _random_cycle_value(eco, alg, rng, max_legs, cutoff, shadow)

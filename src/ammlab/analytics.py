@@ -8,7 +8,6 @@ valued in Y units at the final price.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from .core import DomainError, Ecosystem, PoolState, cpmm_out, gmm_out, pool_value
 from .numeric import Num, sqrt_any

@@ -12,10 +12,9 @@ until the quoted pool's ratio reaches the global one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .core import (
-    Algorithm,
     DomainError,
     Ecosystem,
     PoolState,
@@ -31,22 +30,10 @@ FLOAT_RATIO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class PoolSlack:
-    """Per-pool slack of the two preservation inequalities (positive = satisfied)."""
-
-    pool_id: str
-    left_slack: Num
-    right_slack: Num
-    left_ok: bool
-    right_ok: bool
-
-
-@dataclass(frozen=True)
 class PreservationReport:
     holds: bool
     ngmm_rate: Num
     balanced_rate: Num
-    per_pool: Tuple[PoolSlack, ...]
 
 
 @dataclass(frozen=True)
@@ -63,9 +50,10 @@ def trade_preservation_condition(dx: Num, eco: Ecosystem) -> PreservationReport:
     """Check, for every pool, that the global naive rate beats the local rate
     and the local rate stays below the best post-arbitrage local rate.
 
-    Both inequalities are strict.  On the exact path the second one (which
-    involves a square root) is decided by comparing squares, so the verdict
-    is rigorous; the reported slack values use a high-precision root.
+    Both inequalities are strict, and the check stops at the first pool
+    that fails one.  The second inequality is decided by comparing squares,
+    so the exact verdict is rigorous; the one square root is taken for the
+    reported ``balanced_rate`` (a high-precision root on the exact path).
     """
     if not dx > 0:
         raise DomainError("order size must be positive")
@@ -73,29 +61,19 @@ def trade_preservation_condition(dx: Num, eco: Ecosystem) -> PreservationReport:
     r = y / x
     max_product = max(p.product for p in eco.pools)
     s_squared = max_product * x / y  # square of the best pool's balanced X reserve
-    s = sqrt_any(s_squared)
     ngmm_rate = y / (x + dx)
-    balanced_rate = r * s / (s + dx)
-
-    slacks = []
-    holds = True
     for pool in eco.pools:
         local_rate = pool.y / (pool.x + dx)
-        left_ok = ngmm_rate > local_rate
         gap = r - local_rate
         # local_rate < r*s/(s+dx)  <=>  local_rate*dx < s*(r - local_rate)
-        right_ok = gap > 0 and (local_rate * dx) ** 2 < s_squared * gap * gap
-        holds = holds and left_ok and right_ok
-        slacks.append(
-            PoolSlack(
-                pool.pool_id,
-                ngmm_rate - local_rate,
-                balanced_rate - local_rate,
-                left_ok,
-                right_ok,
-            )
-        )
-    return PreservationReport(holds, ngmm_rate, balanced_rate, tuple(slacks))
+        if not (ngmm_rate > local_rate and gap > 0
+                and (local_rate * dx) ** 2 < s_squared * gap * gap):
+            holds = False
+            break
+    else:
+        holds = True
+    s = sqrt_any(s_squared)
+    return PreservationReport(holds, ngmm_rate, r * s / (s + dx))
 
 
 def balanced_arbitrage(eco: Ecosystem) -> Ecosystem:
@@ -156,6 +134,7 @@ def rebalance_pools(
     transfers raises :class:`DomainError`.
     """
     l_idx = eco.index_of(pool_id)
+    others = [k for k in range(len(eco.pools)) if k != l_idx]
     work = eco
     transfers = []
     limit = 16 * len(eco.pools) + 16
@@ -164,41 +143,22 @@ def rebalance_pools(
         r = work.ratio
         if not _ratio_strictly_below(l.ratio, r):
             break
-        j_idx = None
-        j_ratio = None
-        for k, pool in enumerate(work.pools):
-            if k == l_idx:
-                continue
-            rk = pool.ratio
-            if not _ratio_strictly_below(r, rk):
-                continue
-            if j_ratio is None or rk > j_ratio:  # ties keep the lowest index
-                j_idx, j_ratio = k, rk
-        if j_idx is None:
-            break
+        # the highest ratio, ties to the lowest index; "strictly above r" is
+        # monotone in the ratio, so no other pool can pass when this one fails
+        j_idx = max(others, key=lambda k: work.pools[k].ratio)
         j = work.pools[j_idx]
+        if not _ratio_strictly_below(r, j.ratio):
+            break
         amount = min(r * l.x - l.y, j.y - r * j.x) / (2 * r)
         if not amount > 0:
             break
         paid = inter_pool_quote(amount, j.pool_id, work)
-        pools = list(work.pools)
-        pools[l_idx] = PoolState(l.pool_id, l.x - amount, l.y + paid)
-        pools[j_idx] = PoolState(j.pool_id, j.x + amount, j.y - paid)
-        work = Ecosystem(tuple(pools))
+        work = work._successor(l_idx, PoolState(l.pool_id, l.x - amount, l.y + paid), -amount, paid)
+        work = work._successor(j_idx, PoolState(j.pool_id, j.x + amount, j.y - paid), amount, -paid)
         transfers.append(RebalanceTransfer(l.pool_id, j.pool_id, amount, paid))
     else:
         raise DomainError(f"rebalancing {pool_id!r} did not settle within {limit} transfers")
     return work, tuple(transfers)
-
-
-def _definition_conditions(dx: Num, eco: Ecosystem, pool_id: str) -> bool:
-    # the target must be the max-product pool (ties broken to the lowest index)
-    best = max(range(len(eco.pools)), key=lambda k: (eco.pools[k].product, -k))
-    if eco.pools[best].pool_id != pool_id:
-        return False
-    if not trade_preservation_condition(dx, eco).holds:
-        return False
-    return _ratio_strictly_below(eco.pool(pool_id).ratio, eco.ratio)
 
 
 def gmm_rebal_quote(
@@ -209,10 +169,11 @@ def gmm_rebal_quote(
 ) -> Tuple[Ecosystem, Quote]:
     """Quote ``dx`` X at ``pool_id`` under the rebalancing variant.
 
-    Rebalancing engages only when the target is the max-product pool, the
-    trade-preservation condition holds and the target's ratio sits below the
-    global one; otherwise the plain global quote on the unmodified ecosystem
-    is returned.  ``force_trigger`` skips the checks (the guard conditions
+    Rebalancing engages only when the target is the max-product pool (ties
+    go to the lowest index), its ratio sits strictly below the global one
+    and the trade-preservation condition holds, checked in that order;
+    otherwise the plain global quote on the unmodified ecosystem is
+    returned.  ``force_trigger`` skips the checks (the guard conditions
     and several worked scenarios disagree, so the trigger is explicit).
     Returns the (possibly rebalanced) ecosystem and the final quote; the
     transfer trace is available from :func:`gmm_rebal_transfers`.
@@ -231,8 +192,12 @@ def gmm_rebal_transfers(
     when it did not engage)."""
     if not dx > 0:
         raise DomainError("order size must be positive")
-    eco.index_of(pool_id)
-    if force_trigger or _definition_conditions(dx, eco, pool_id):
+    target = eco.pools[eco.index_of(pool_id)]
+    if force_trigger or (
+        max(eco.pools, key=lambda p: p.product) is target  # max keeps the first maximum
+        and _ratio_strictly_below(target.ratio, eco.ratio)
+        and trade_preservation_condition(dx, eco).holds
+    ):
         work, transfers = rebalance_pools(eco, pool_id)
     else:
         work, transfers = eco, ()

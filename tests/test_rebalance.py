@@ -22,6 +22,7 @@ from ammlab.numeric import sqrt_bounds
 from ammlab.rebalance import (
     balanced_arbitrage,
     gmm_rebal_quote,
+    gmm_rebal_transfers,
     inter_pool_quote,
     rebalance_pools,
     trade_preservation_condition,
@@ -41,6 +42,43 @@ def balanced_quote_upper_bound(eco, dx):
     return r * s_hi * dx / (s_hi + dx)
 
 
+def preservation_oracle(dx, eco):
+    """Both preservation inequalities for every pool, the right one decided
+    against an exact enclosure of the square root (the balanced rate
+    ``r*s/(s+dx)`` increases with ``s``)."""
+    x, y = eco.total_x, eco.total_y
+    r = y / x
+    s_lo, s_hi = sqrt_bounds(max(p.product for p in eco.pools) / r, bits=160)
+    ngmm_rate = y / (x + dx)
+    verdicts = []
+    for pool in eco.pools:
+        local_rate = pool.y / (pool.x + dx)
+        right_ok = local_rate < r * s_lo / (s_lo + dx)
+        assert right_ok or local_rate >= r * s_hi / (s_hi + dx)  # decided by the enclosure
+        verdicts.append(ngmm_rate > local_rate and right_ok)
+    return verdicts
+
+
+def preservation_cases(rng):
+    """150 exact ``(ecosystem, order size)`` pairs.  Skewed ones (a big
+    low-ratio pool, small higher-ratio ones and a random last pool) hold,
+    fail at the first pool or fail only at the last one; plain random ones
+    mostly fail."""
+    for case in range(150):
+        n = rng.randint(2, 5)
+        if case % 3 == 2:
+            yield rand_eco(rng, n), F(rng.randint(1, 2_000_000))
+            continue
+        big = rng.randint(1000, 100_000)
+        pairs = [(F(big), F(big * rng.randint(3000, 4000)))]
+        for _ in range(n - 2):
+            small = rng.randint(1, big // 50)
+            pairs.append((F(small), F(small * rng.randint(3500, 6000))))
+        last = rng.randint(1, big // 5)
+        pairs.append((F(last), F(last * rng.randint(2000, 8000))))
+        yield Ecosystem.from_reserves(pairs), F(big * rng.randint(1, 30), 100)
+
+
 class TestPreservationCondition:
     def test_equal_ratios_fail(self):
         eco = Ecosystem.from_reserves([(F(100), F(400_000)), (F(50), F(200_000))])
@@ -57,10 +95,20 @@ class TestPreservationCondition:
         assert report.holds
         assert float(report.ngmm_rate) == pytest.approx(3648.65, abs=0.01)
         assert float(report.balanced_rate) == pytest.approx(3644.95, abs=0.01)
-        rates = {s.pool_id: float(report.ngmm_rate - s.left_slack) for s in report.per_pool}
-        assert rates["amm1"] == pytest.approx(3636.36, abs=0.01)
-        assert rates["amm2"] == pytest.approx(454.55, abs=0.01)
-        assert all(s.left_slack > 0 and s.right_slack > 0 for s in report.per_pool)
+        assert preservation_oracle(F(100), eco) == [True, True]
+
+    def test_verdict_matches_every_pool_and_inequality(self, rng):
+        seen = set()
+        for eco, dx in preservation_cases(rng):
+            verdicts = preservation_oracle(dx, eco)
+            assert trade_preservation_condition(dx, eco).holds == all(verdicts)
+            if all(verdicts):
+                seen.add("holds")
+            elif all(verdicts[:-1]):
+                seen.add("only the last pool fails")
+            elif not verdicts[0]:
+                seen.add("the first pool fails")
+        assert seen == {"holds", "only the last pool fails", "the first pool fails"}
 
     def test_rejects_nonpositive_order(self):
         with pytest.raises(DomainError):
@@ -169,6 +217,18 @@ class TestRebalanceLoop:
         assert rebalanced.total_x == eco.total_x
         assert rebalanced.total_y == eco.total_y
 
+    def test_receiver_tie_goes_to_the_lowest_index(self):
+        # amm1 and amm3 sit at one ratio above r = 2500; amm1 is served first
+        eco = Ecosystem.from_reserves(
+            [(F(100), F(500_000)), (F(1000), F(2_000_000)), (F(100), F(500_000))]
+        )
+        assert eco.ratio == 2500
+        rebalanced, transfers = rebalance_pools(eco, "amm2")
+        assert [(t.from_pool, t.to_pool, t.amount_x) for t in transfers] == [
+            ("amm2", "amm1", 50), ("amm2", "amm3", 50)
+        ]
+        assert all(p.ratio == 2500 for p in rebalanced.pools)
+
     def test_transfer_value_preserved_at_global_ratio(self, rng):
         for _ in range(20):
             eco = rand_eco(rng, rng.randint(2, 5))
@@ -212,6 +272,27 @@ class TestGmmRebalQuote:
         work, quote = gmm_rebal_quote(F(2), eco, "amm2")
         assert work == eco
         assert quote == gmm_out(F(2), eco, "amm2")
+
+    def test_max_product_tie_goes_to_the_lowest_index(self):
+        # amm1 and amm2 are the same pool; only amm1 counts as the max-product one
+        eco = Ecosystem.from_reserves([SKEWED[0], SKEWED[0], SKEWED[1]])
+        assert trade_preservation_condition(F(100), eco).holds
+        assert len(gmm_rebal_transfers(F(100), eco, "amm1")[2]) == 1
+        assert gmm_rebal_transfers(F(100), eco, "amm2")[2] == ()
+
+    def test_trigger_is_the_three_conditions(self, rng):
+        # each condition evaluated on its own; the cases include targets that
+        # pass all three and targets that pass all but the max-product one
+        seen = set()
+        for eco, dx in preservation_cases(rng):
+            holds = all(preservation_oracle(dx, eco))
+            products = [p.product for p in eco.pools]
+            for k, pool in enumerate(eco.pools):
+                conditions = (products.index(max(products)) == k, pool.ratio < eco.ratio, holds)
+                seen.add(conditions)
+                _, _, transfers = gmm_rebal_transfers(dx, eco, pool.pool_id)
+                assert bool(transfers) == all(conditions)
+        assert (False, True, True) in seen and (True, True, True) in seen
 
     def test_rejects_nonpositive_order(self):
         with pytest.raises(DomainError):

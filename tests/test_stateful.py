@@ -1,0 +1,154 @@
+"""A stateful twin: one exact ecosystem and its float image, driven through
+the same swaps and rebalancing quotes.
+
+After every step the carried totals equal fresh sums, and the float image
+stays within 1e-9 relative of the exact one (the README numerics contract,
+here over sequences of operations).  Under the global and naive-global
+rules a swap never decreases ``total_x * total_y``, and rebalancing never
+moves the exact totals.
+
+The float and exact rebalancing loops may part only on a tie: where one
+stops (or does not trigger) and the other goes on, the deciding ratio gap
+is within ``FLOAT_RATIO_TOL``; where they pick different receivers, those
+receivers' ratios are within it of each other.  After such a step the
+float image restarts from the exact ecosystem, since the two results then
+differ by a whole transfer.
+"""
+
+from fractions import Fraction as F
+from itertools import zip_longest
+
+import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from ammlab.core import (
+    Algorithm,
+    Ecosystem,
+    PoolState,
+    ReserveDepletionError,
+    SIDE_X,
+    SIDE_Y,
+    SwapOrder,
+    apply_swap,
+)
+from ammlab.rebalance import FLOAT_RATIO_TOL, gmm_rebal_transfers
+
+FLOAT_REL_TOL = F(1, 10**9)
+RESERVES = st.integers(1_000, 10_000_000)
+POOL = st.integers(0, 4)  # taken modulo the pool count
+
+
+def _close(value: float, exact: F) -> bool:
+    return abs(F(value) - exact) <= FLOAT_REL_TOL * abs(exact)
+
+
+def _float_image(eco: Ecosystem) -> Ecosystem:
+    return Ecosystem(tuple(PoolState(p.pool_id, float(p.x), float(p.y)) for p in eco.pools))
+
+
+def _replay(eco: Ecosystem, transfers) -> Ecosystem:
+    """``eco`` after the given rebalancing transfers, pool by pool."""
+    pools = list(eco.pools)
+    for t in transfers:
+        i, j = eco.index_of(t.from_pool), eco.index_of(t.to_pool)
+        pools[i] = PoolState(t.from_pool, pools[i].x - t.amount_x, pools[i].y + t.amount_y_received)
+        pools[j] = PoolState(t.to_pool, pools[j].x + t.amount_x, pools[j].y - t.amount_y_received)
+    return Ecosystem(tuple(pools))
+
+
+def _deciding_gap(eco: Ecosystem, idx: int) -> F:
+    """The smaller relative gap the rebalancing loop tests at ``eco``: the
+    target below the global ratio, the best receiver above it."""
+    r = eco.ratio
+    target = (r - eco.pools[idx].ratio) / r
+    receiver = max((p.ratio - r) / p.ratio for k, p in enumerate(eco.pools) if k != idx)
+    return min(target, receiver)
+
+
+class ExactFloatTwin(RuleBasedStateMachine):
+    @initialize(pairs=st.lists(st.tuples(RESERVES, RESERVES), min_size=1, max_size=5))
+    def build(self, pairs):
+        self.exact = Ecosystem.from_reserves([(F(x), F(y)) for x, y in pairs])
+        self.float = _float_image(self.exact)
+
+    def _target(self, pool: int):
+        idx = pool % len(self.exact.pools)
+        return idx, self.exact.pools[idx]
+
+    @rule(alg=st.sampled_from(Algorithm), side=st.sampled_from((SIDE_X, SIDE_Y)),
+          pool=POOL, k=st.integers(1, 64))
+    def swap(self, alg, side, pool, k):
+        _, target = self._target(pool)
+        amount = (target.x if side == SIDE_X else target.y) * F(k, 32)
+        exact_order = SwapOrder(target.pool_id, side, amount)
+        float_order = SwapOrder(target.pool_id, side, float(amount))
+        try:
+            exact, exact_out = apply_swap(self.exact, exact_order, alg)
+        except ReserveDepletionError:
+            with pytest.raises(ReserveDepletionError):
+                apply_swap(self.float, float_order, alg)
+            return
+        self.float, float_out = apply_swap(self.float, float_order, alg)
+        assert _close(float_out, exact_out)
+        if alg is not Algorithm.CPMM:
+            assert exact.total_x * exact.total_y >= self.exact.total_x * self.exact.total_y
+        self.exact = exact
+
+    @rule(pool=POOL, k=st.integers(1, 64), forced=st.booleans())
+    def rebalance(self, pool, k, forced):
+        idx, target = self._target(pool)
+        dx = target.x * F(k, 16)
+        exact, exact_quote, exact_moves = gmm_rebal_transfers(dx, self.exact, target.pool_id, forced)
+        image, float_quote, float_moves = gmm_rebal_transfers(
+            float(dx), self.float, target.pool_id, forced
+        )
+        assert (exact.total_x, exact.total_y) == (self.exact.total_x, self.exact.total_y)
+        exact_path = [t.to_pool for t in exact_moves]
+        float_path = [t.to_pool for t in float_moves]
+        if exact_path == float_path:
+            assert _close(float_quote.amount_out, exact_quote.amount_out)
+        else:
+            # the loops parted on a tie, at the first move they disagree on
+            n = next(i for i, pair in enumerate(zip_longest(exact_path, float_path))
+                     if pair[0] != pair[1])
+            at = _replay(self.exact, exact_moves[:n])
+            if n < min(len(exact_path), len(float_path)):  # two receivers at one ratio
+                a, b = at.pool(exact_path[n]).ratio, at.pool(float_path[n]).ratio
+                assert abs(a - b) <= FLOAT_RATIO_TOL * max(a, b)
+            else:  # one loop stopped, or did not start, where the other went on
+                assert _deciding_gap(at, idx) <= FLOAT_RATIO_TOL
+            image = _float_image(exact)  # from here on the two differ by design
+        self.exact, self.float = exact, image
+
+    @invariant()
+    def totals_are_fresh_sums(self):
+        for eco in (self.exact, self.float):
+            assert eco.total_x == sum(p.x for p in eco.pools)
+            assert eco.total_y == sum(p.y for p in eco.pools)
+
+    @invariant()
+    def float_image_tracks_exact(self):
+        for image, exact in zip(self.float.pools, self.exact.pools):
+            assert _close(image.x, exact.x) and _close(image.y, exact.y)
+
+
+TestExactFloatTwin = ExactFloatTwin.TestCase
+TestExactFloatTwin.settings = settings(
+    max_examples=60, stateful_step_count=20, deadline=None, derandomize=True
+)
+
+
+def test_receivers_at_one_ratio_part_the_twin():
+    # amm1, amm3 and amm4 land on one ratio; after the ratio moves, amm3 and
+    # amm4 are tied receivers, and float rounding picks amm4 where the exact
+    # loop takes amm3
+    twin = ExactFloatTwin()
+    twin.build(pairs=[(1000, 1000), (6397, 1000), (1001, 1000), (1000, 1000)])
+    twin.rebalance(pool=1, k=9, forced=False)
+    twin.swap(alg=Algorithm.CPMM, side=SIDE_X, pool=0, k=1)
+    twin.swap(alg=Algorithm.CPMM, side=SIDE_X, pool=1, k=1)
+    assert twin.exact.pools[2].ratio == twin.exact.pools[3].ratio
+    twin.rebalance(pool=0, k=1, forced=True)
+    twin.totals_are_fresh_sums()
+    twin.float_image_tracks_exact()
