@@ -346,22 +346,57 @@ def _cycle_legs(rng: random.Random, n_pools: int, max_legs: int) -> Iterator[_Le
     a positive amount, so a holding is empty exactly when it was never paid
     or its last send was all of it (``k == den``): the draws never depend
     on prices.
+
+    Each value below ``n`` is ``getrandbits(n.bit_length())``, redrawn
+    until it is below ``n``: what ``randint``, ``randrange`` and ``choice``
+    do through ``Random._randbelow``, so the legs and the words taken are
+    theirs, without their argument checks on every draw.
     """
-    n_legs = rng.randint(2, max_legs)
-    side = rng.choice((SIDE_X, SIDE_Y))
-    i = rng.randrange(n_pools)
-    yield side, i, rng.randint(1, 96), 128
-    held = {side: False, _other(side): True}
+    if max_legs < 2:
+        raise DomainError(f"a cycle needs at least 2 legs, got max_legs={max_legs}")
+    bits = rng.getrandbits
+    spread = max_legs - 1  # randint(2, max_legs)
+    k_legs = spread.bit_length()
+    k_pool = n_pools.bit_length()
+    r = bits(k_legs)
+    while r >= spread:
+        r = bits(k_legs)
+    n_legs = r + 2
+    r = bits(2)  # choice of a side
+    while r >= 2:
+        r = bits(2)
+    side = SIDE_Y if r else SIDE_X
+    i = bits(k_pool)
+    while i >= n_pools:
+        i = bits(k_pool)
+    k = bits(7)  # randint(1, 96)
+    while k >= 96:
+        k = bits(7)
+    yield side, i, k + 1, 128
+    held_start, held_other = False, True  # holdings of the start side and the other one
     for _ in range(n_legs - 2):
-        send = rng.choice((SIDE_X, SIDE_Y))
-        if not held[send]:
+        r = bits(2)
+        while r >= 2:
+            r = bits(2)
+        send = SIDE_Y if r else SIDE_X
+        if not (held_start if send == side else held_other):
             continue
-        k = rng.randint(1, 16)
-        yield send, rng.randrange(n_pools), k, 16
-        held[send] = k < 16
-        held[_other(send)] = True
-    if held[_other(side)]:
-        yield _other(side), rng.randrange(n_pools), 1, 1
+        k = bits(5)  # randint(1, 16)
+        while k >= 16:
+            k = bits(5)
+        i = bits(k_pool)
+        while i >= n_pools:
+            i = bits(k_pool)
+        yield send, i, k + 1, 16
+        if send == side:
+            held_start, held_other = k < 15, True
+        else:
+            held_start, held_other = True, k < 15
+    if held_other:
+        i = bits(k_pool)
+        while i >= n_pools:
+            i = bits(k_pool)
+        yield _other(side), i, 1, 1
 
 
 def _cycle_value(eco: Ecosystem, alg: Algorithm, legs: Iterator[_Leg]) -> Optional[Num]:
@@ -447,66 +482,6 @@ def _shadow(eco: Ecosystem) -> Optional[_Shadow]:
     return _Shadow((xs, ys), totals, ratio)
 
 
-def _screen_leg(res: List[List[float]], tot: List[float], s: int, i: int,
-                d: float, rd: float, bound: float,
-                alg: Algorithm) -> Union[None, str, Tuple[float, float, float, Optional[int]]]:
-    """Float image of :func:`apply_swap` sending ``d`` of side ``s`` to pool
-    ``i``, updating ``res`` and ``tot`` in place.
-
-    ``d`` is within relative ``rd`` of its exact value and every reserve and
-    total within ``bound``.  Returns ``(out, bound on out, bound on the
-    state after the leg, the constant product that priced it)`` -- pool
-    ``i``, -1 for the aggregate one, or None when the global rule's two
-    outputs are within their bound of each other.  Returns ``_DRAINS`` when
-    the exact swap certainly drains the pool, and None when the naive
-    rule's cap lands within its error bound of a tie, or the exact swap
-    could drain the pool.
-    """
-    o = 1 - s
-    x = res[s][i]
-    y = res[o][i]
-    tx = tot[s]
-    ty = tot[o]
-    a = rd if rd > bound else bound
-    if not a <= _BOUND_CAP:
-        return None
-    r_out = bound + rd + a + 3 * _EPS  # relative bound of y * d / (x + d)
-    local = y * d / (x + d)
-    product = i
-    if alg is Algorithm.CPMM:
-        out = local
-    else:
-        raw = ty * d / (tx + d)  # within r_out too
-        if alg is Algorithm.NGMM:
-            if not abs(raw - y) > 2 * (r_out * raw + bound * y):
-                return None
-            if raw >= y:  # the naive output is capped at y: the exact swap drains the pool
-                return _DRAINS
-            out = raw
-            product = -1
-        else:
-            # the global rule pays min(naive, local), which is min(raw, local)
-            # as local < y (a divergent order has raw >= local), whatever the
-            # classification: no tie of it changes the output
-            out = min(raw, local)
-            if not abs(raw - local) > 2 * r_out * (raw + local):
-                product = None  # either constant product may have priced it
-            elif raw < local:
-                product = -1
-    if not out >= _OUT_FLOOR:
-        return None
-    rest = y - out
-    if not rest > 0.0:
-        return None
-    res[s][i] = x + d
-    res[o][i] = rest
-    tot[s] = tx + d
-    tot[o] = ty - out
-    # y - out grows the error by y / (y - out); ty - out by less, as ty >= y
-    grown = (bound * y + r_out * out) / rest + _EPS
-    return out, r_out, max(a + _EPS, grown), product
-
-
 def _screen_cycle(shadow: _Shadow, alg: Algorithm, legs: Iterator[_Leg],
                   seen: List[_Leg]) -> Union[None, str, Tuple[float, float]]:
     """Float pass over the cycle ``legs``, appending each leg to ``seen``
@@ -514,59 +489,113 @@ def _screen_cycle(shadow: _Shadow, alg: Algorithm, legs: Iterator[_Leg],
 
     Returns ``(value, err)`` with the exact cycle value within ``err`` of
     ``value``, ``_DRAINS`` when a leg certainly drains a pool, or None when
-    the pass cannot bound it (a branch near a tie, a possible depletion, a
-    bound past the cap).  It stops at that point, so the exact pass prices
-    ``seen`` and then the rest of ``legs``.
+    the pass cannot bound it (a branch near a tie, the naive rule's cap
+    within its error bound of a tie, a possible depletion, a bound past the
+    cap).  It stops at that point, so the exact pass prices ``seen`` and
+    then the rest of ``legs``.
 
-    A cycle whose every leg priced against one constant product (one
-    pool's, or the aggregate one) is worth exactly 0: it ends holding none
-    of the other asset, so that product's other reserve is back where it
-    started, and with it the start asset's.
+    Each leg is the float image of :func:`apply_swap`: it sends ``d``,
+    within relative ``rd`` of its exact value, while every reserve, total
+    and holding is within ``bound`` of its own.  A cycle whose every leg
+    priced against one constant product (one pool's, or the aggregate one)
+    is worth exactly 0: it ends holding none of the other asset, so that
+    product's other reserve is back where it started, and with it the start
+    asset's.
     """
     res = [list(shadow.reserves[0]), list(shadow.reserves[1])]
     tot = list(shadow.totals)
     if alg is Algorithm.GMM and len(res[0]) == 1:
         alg = Algorithm.CPMM  # a lone pool is divergent: the global rule prices it locally
-    leg = next(legs)
-    seen.append(leg)
-    side_sent, i, k, den = leg
-    side = 0 if side_sent == SIDE_X else 1
-    # k / 128 is exact; a two-leg size over its reserve rounds once, as does
-    # the product and the float reserve: three roundings of at most _EPS / 2
-    opening = res[side][i] * (k / den)
-    r_open = 2 * _EPS
-    priced = _screen_leg(res, tot, side, i, opening, r_open, _EPS, alg)
-    if priced is None or priced is _DRAINS:
-        return priced
-    out, r_out, after, product = priced
+    local_only = alg is Algorithm.CPMM
+    naive = alg is Algorithm.NGMM
     hold = [0.0, 0.0]
-    hold[1 - side] = out
-    bound = max(after, r_out)  # from here on it covers the holdings too
-    one_product = product is not None
+    bound = _EPS
+    first = True
+    # max() and min() are spelled as conditionals: the same pick, without a call
     for leg in legs:
         seen.append(leg)
         side_sent, i, k, den = leg
-        send = 0 if side_sent == SIDE_X else 1
-        held = hold[send]
-        amt = held * (k / den)  # k / 16 is exact; the closing leg sends the holding itself
-        rd = bound if den == 1 else bound + _EPS
-        priced = _screen_leg(res, tot, send, i, amt, rd, bound, alg)
-        if priced is None or priced is _DRAINS:
-            return priced
-        out, r_out, after, used = priced
+        s = 0 if side_sent == SIDE_X else 1
+        o = 1 - s
+        x = res[s][i]
+        y = res[o][i]
+        if first:
+            # k / 128 is exact; a two-leg size over its reserve rounds once, as
+            # does the product and the float reserve: three roundings of at
+            # most _EPS / 2
+            side = s
+            d = opening = x * (k / den)
+            rd = 2 * _EPS
+        else:
+            held = hold[s]
+            d = held * (k / den)  # k / 16 is exact; the closing leg sends the holding itself
+            rd = bound if den == 1 else bound + _EPS
+        a = rd if rd > bound else bound
+        if not a <= _BOUND_CAP:
+            return None
+        r_out = bound + rd + a + 3 * _EPS  # relative bound of y * d / (x + d)
+        local = y * d / (x + d)
+        # the constant product that priced the leg: pool i, -1 for the
+        # aggregate one, None when the global rule's two outputs are within
+        # their bound of each other
+        used = i
+        if local_only:
+            out = local
+        else:
+            raw = tot[o] * d / (tot[s] + d)  # within r_out too
+            if naive:
+                if not abs(raw - y) > 2 * (r_out * raw + bound * y):
+                    return None
+                if raw >= y:  # the naive output is capped at y: the exact swap drains the pool
+                    return _DRAINS
+                out = raw
+                used = -1
+            else:
+                # the global rule pays min(naive, local), which is min(raw, local)
+                # as local < y (a divergent order has raw >= local), whatever the
+                # classification: no tie of it changes the output
+                out = local if local < raw else raw
+                if not abs(raw - local) > 2 * r_out * (raw + local):
+                    used = None  # either constant product may have priced it
+                elif raw < local:
+                    used = -1
+        if not out >= _OUT_FLOOR:
+            return None
+        rest = y - out
+        if not rest > 0.0:
+            return None
+        res[s][i] = x + d
+        res[o][i] = rest
+        tot[s] += d
+        tot[o] -= out
+        # y - out grows the error by y / (y - out); ty - out by less, as ty >= y
+        after = a + _EPS
+        grown = (bound * y + r_out * out) / rest + _EPS
+        if grown > after:
+            after = grown
+        if first:
+            first = False
+            hold[o] = out
+            bound = r_out if r_out > after else after  # from here on it covers the holdings too
+            product = used
+            one_product = used is not None
+            continue
         one_product = one_product and used == product
-        rest = held - amt  # exactly zero when k == den, as is the exact one
-        if rest > 0.0:
-            after = max(after, (bound * held + (bound + _EPS) * amt) / rest + _EPS)
-        hold[send] = rest
-        hold[1 - send] += out
-        bound = max(after, r_out + _EPS)
+        left = held - d  # exactly zero when k == den, as is the exact one
+        if left > 0.0:
+            grown = (bound * held + (bound + _EPS) * d) / left + _EPS
+            if grown > after:
+                after = grown
+        hold[s] = left
+        hold[o] += out
+        r_held = r_out + _EPS
+        bound = r_held if r_held > after else after
     if not bound <= _BOUND_CAP:
         return None
     if one_product:
         return 0.0, 0.0
     profit = hold[side] - opening
-    err = bound * hold[side] + r_open * opening + _EPS * abs(profit)
+    err = bound * hold[side] + 2 * _EPS * opening + _EPS * abs(profit)
     if side == 0:
         value = profit * shadow.ratio
         err = (err + 2 * _EPS * abs(profit)) * shadow.ratio

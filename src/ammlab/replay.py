@@ -89,6 +89,12 @@ class ReplayRecord:
     price_usd_y: Optional[Fraction] = None
 
 
+#: Keys a scenario JSON may hold; ``seed`` is accepted and ignored, for old configs.
+_SCENARIO_KEYS = frozenset(
+    ("algorithm", "external_reserve_multiple", "split_count", "arithmetic", "seed")
+)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One counterfactual scenario.
@@ -125,6 +131,9 @@ class ScenarioConfig:
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise DomainError("scenario must be a JSON object")
+        unknown = sorted(set(raw) - _SCENARIO_KEYS)
+        if unknown:  # a misspelt key would otherwise take its default silently
+            raise DomainError(f"unknown scenario keys: {', '.join(map(repr, unknown))}")
         if not isinstance(raw.get("algorithm"), str):
             raise DomainError("scenario needs an \"algorithm\" string")
         beta = raw.get("external_reserve_multiple")

@@ -286,6 +286,14 @@ class TestReplay:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_misspelt_config_key_is_domain_error(self, capsys, tmp_path):
+        # a typo must not silently fall back to the rational default
+        log, cfg = self.write_inputs(tmp_path, {"algorithm": "cpmm", "arithmatic": "float64"})
+        rc, out, err = run(capsys, ["replay", "--log", str(log), "--config", str(cfg)])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: unknown scenario keys: 'arithmatic'")
+
     def test_missing_config_without_il(self, capsys, tmp_path):
         log = tmp_path / "log.csv"
         log.write_text(PART2_LOG)
@@ -389,6 +397,36 @@ def _argv(draw):
     return argv
 
 
+_LOG_ROWS = [dict(zip(CSV_COLUMNS, line.split(","))) for line in PART2_LOG.splitlines()[1:]]
+_LOG_LITERALS = ("0", "1", "-1", "2.5", "0.000001", "1/3", "1e400", "1e-400", "nan", "inf", "",
+                 "abc", "1_000", "٣", " 7", "9" * 101, "100", "PAIR-A", "atk-1", "X", "Y")
+_LOG_ROLES = ("normal", "frontrun", "victim", "backrun", "", "FRONTRUN", "bogus")
+
+
+@st.composite
+def _log_text(draw):
+    """Attack-log CSV contents: the header (now and then one with a column
+    dropped), then rows built on the columns of a valid bracket, with drawn
+    literals, roles and column counts.  Draws shrink towards the valid
+    bracket."""
+    columns = list(CSV_COLUMNS)
+    if draw(st.integers(0, 7)) == 7:
+        del columns[draw(st.integers(0, len(columns) - 1))]
+    lines = [",".join(columns)]
+    for n in range(draw(st.integers(0, 6))):
+        template = _LOG_ROWS[n % 3] if draw(st.integers(0, 3)) < 3 else draw(st.sampled_from(_LOG_ROWS))
+        row = dict(template, tx_index=str(n), attack_id=f"atk-{n // 3}")
+        if draw(st.integers(0, 3)) == 3:
+            row["role"] = draw(st.sampled_from(_LOG_ROLES))
+        for column in CSV_COLUMNS:
+            if draw(st.integers(0, 7)) == 7:
+                row[column] = draw(st.sampled_from(_LOG_LITERALS))
+        cells = [row[c] for c in CSV_COLUMNS]
+        width = draw(st.sampled_from((len(cells),) * 6 + (len(cells) - 1, len(cells) + 1, 1)))
+        lines.append(",".join((cells + ["1"])[:width]))
+    return "\n".join(lines) + "\n"
+
+
 class TestFuzz:
     @pytest.fixture(scope="class", autouse=True)
     def workdir(self, tmp_path_factory):
@@ -397,6 +435,7 @@ class TestFuzz:
         (path / "log.csv").write_text(PART2_LOG)
         (path / "config.json").write_text(json.dumps({"algorithm": "gmm", "reserve_multiple": 1}))
         (path / "bad.json").write_text("{not json")
+        (path / "scenario.json").write_text(json.dumps({"algorithm": "gmm", "split_count": 3}))
         cwd = os.getcwd()
         os.chdir(path)
         yield path
@@ -412,6 +451,24 @@ class TestFuzz:
         assert rc in (0, 1, 2), argv
         assert "Traceback" not in text
         assert text == "" or text.startswith(("error:", "usage:")), (argv, text)
+
+    @given(text=_log_text(), il=st.booleans())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_drawn_log_contents(self, text, il):
+        with open("drawn.csv", "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = ["replay", "--log", "drawn.csv", "--out", "drawn.json"]
+        argv += ["--il"] if il else ["--config", "scenario.json"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        message = err.getvalue()
+        assert rc in (0, 1, 2), (text, message)
+        assert "Traceback" not in message
+        if rc:
+            assert message.startswith("error:"), (text, message)
+        else:
+            assert message == ""
 
     @pytest.mark.parametrize("argv", [
         ["quote", "--pools", "1:1", "--amount", "1/0"],

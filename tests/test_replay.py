@@ -146,6 +146,17 @@ class TestScenarioConfig:
         with pytest.raises(DomainError):
             ScenarioConfig(Algorithm.GMM, split_count=True)
 
+    @pytest.mark.parametrize("key", ["arithmatic", "reserve_multiple", "Algorithm", ""])
+    def test_unknown_key_is_named(self, key):
+        text = json.dumps({"algorithm": "cpmm", key: "float64"})
+        with pytest.raises(DomainError, match=repr(key)):
+            ScenarioConfig.from_json(text)
+
+    def test_seed_is_accepted_and_ignored(self):
+        text = '{"algorithm": "gmm", "split_count": 2, "arithmetic": "float64", "seed": 9}'
+        assert ScenarioConfig.from_json(text) == ScenarioConfig(
+            Algorithm.GMM, split_count=2, arithmetic="float64")
+
     def test_bad_arithmetic(self):
         with pytest.raises(DomainError):
             ScenarioConfig(Algorithm.CPMM, arithmetic="decimal")

@@ -5,7 +5,10 @@ After every step the carried totals equal fresh sums, and the float image
 stays within 1e-9 relative of the exact one (the README numerics contract,
 here over sequences of operations).  Under the global and naive-global
 rules a swap never decreases ``total_x * total_y``, and rebalancing never
-moves the exact totals.
+moves the exact totals.  Quotes change no state: each rule's float quote
+is within 1e-9 of its exact one, a global-rule quote is at most both the
+local and the naive-global one, and a naive-global quote is capped at the
+reserve it pays from.
 
 The float and exact rebalancing loops may part only on a tie: where one
 stops (or does not trigger) and the other goes on, the deciding ratio gap
@@ -31,6 +34,7 @@ from ammlab.core import (
     SIDE_Y,
     SwapOrder,
     apply_swap,
+    quote_order,
 )
 from ammlab.rebalance import FLOAT_RATIO_TOL, gmm_rebal_transfers
 
@@ -94,6 +98,21 @@ class ExactFloatTwin(RuleBasedStateMachine):
         if alg is not Algorithm.CPMM:
             assert exact.total_x * exact.total_y >= self.exact.total_x * self.exact.total_y
         self.exact = exact
+
+    @rule(side=st.sampled_from((SIDE_X, SIDE_Y)), pool=POOL, k=st.integers(1, 64))
+    def quote(self, side, pool, k):
+        _, target = self._target(pool)
+        amount = (target.x if side == SIDE_X else target.y) * F(k, 32)
+        reserve_out = target.y if side == SIDE_X else target.x
+        exact_order = SwapOrder(target.pool_id, side, amount)
+        float_order = SwapOrder(target.pool_id, side, float(amount))
+        out = {}
+        for alg in Algorithm:
+            out[alg] = quote_order(self.exact, exact_order, alg).amount_out
+            assert _close(quote_order(self.float, float_order, alg).amount_out, out[alg])
+        gmm = out[Algorithm.GMM]
+        assert gmm <= out[Algorithm.CPMM] and gmm <= out[Algorithm.NGMM]
+        assert out[Algorithm.NGMM] <= reserve_out  # the naive rule's cap
 
     @rule(pool=POOL, k=st.integers(1, 64), forced=st.booleans())
     def rebalance(self, pool, k, forced):
