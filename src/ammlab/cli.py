@@ -129,15 +129,12 @@ def cmd_sweep(args) -> int:
         alg = Algorithm.parse(args.algorithm)
         if alg is Algorithm.CPMM:
             rows = [(a, sandwich_profit_cpmm_closed(xi, victim, a)) for a in attacks]
-        elif alg is Algorithm.GMM:
+        else:  # gmm: the flag's choices admit no other
             if args.x is None:
                 print("error: gmm sweep needs --x (global reserve)", file=sys.stderr)
                 return 2
             xg = parse_number(args.x)
             rows = [(a, sandwich_profit_gmm_closed(xi, xg, victim, a)) for a in attacks]
-        else:
-            print(f"error: unsupported sweep algorithm {args.algorithm}", file=sys.stderr)
-            return 2
         _write_csv(args.out, ["attack_dx", "profit"], rows)
         return 0
 
@@ -180,7 +177,7 @@ def cmd_replay(args) -> int:
     records = parse_log(args.log)
     if args.il:
         alphas = [parse_number(a) for a in args.alphas.split(",") if a]
-        report = il_portfolio_report(records, alphas, Fraction(str(args.lambda_threshold)))
+        report = il_portfolio_report(records, alphas, parse_number(args.lambda_threshold))
         payload = report.to_json_dict()
     else:
         if args.config is None:
@@ -258,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--out", default=None, help="summary JSON path (default stdout)")
     replay.add_argument("--il", action="store_true", help="portfolio loss report instead")
     replay.add_argument("--alphas", default="0.01,0.05,0.1,0.25,0.5")
-    replay.add_argument("--lambda-threshold", type=float, default=10.0, dest="lambda_threshold")
+    replay.add_argument("--lambda-threshold", default="10", dest="lambda_threshold")
     replay.add_argument("--attacks-csv", default=None, help="also write per-attack CSV")
     replay.set_defaults(func=cmd_replay)
     return parser

@@ -20,8 +20,10 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .adversary import (
@@ -123,6 +125,11 @@ class ScenarioConfig:
         # exactly int: a JSON true is a bool, which Python counts as an int
         if has_n and (type(self.split_count) is not int or self.split_count < 1):
             raise DomainError("split count must be a positive integer")
+        # capped like a log literal, so that a float64 replay can convert both
+        if has_beta and self.external_reserve_multiple > 10**MAX_LITERAL_EXPONENT:
+            raise DomainError(f"reserve multiple must be at most 10**{MAX_LITERAL_EXPONENT}")
+        if has_n and self.split_count > 10**MAX_LITERAL_EXPONENT:
+            raise DomainError(f"split count must be at most 10**{MAX_LITERAL_EXPONENT}")
         if self.arithmetic not in ("rational", "float64"):
             raise DomainError("arithmetic must be 'rational' or 'float64'")
 
@@ -139,10 +146,8 @@ class ScenarioConfig:
         beta = raw.get("external_reserve_multiple")
         if not isinstance(beta, (str, int, float, type(None))):
             raise DomainError("reserve multiple must be a number or a decimal string")
-        if isinstance(beta, str):
-            beta = parse_number(beta)
-        elif beta is not None:  # a JSON number is bounded, and so is its Fraction
-            beta = Fraction(str(beta))
+        if beta is not None:  # a JSON integer is unbounded: cap it as a literal
+            beta = parse_number(str(beta))
         return cls(
             algorithm=Algorithm.parse(raw["algorithm"]),
             external_reserve_multiple=beta,
@@ -205,9 +210,6 @@ class ReplaySummary:
 def _read_text(source) -> str:
     if isinstance(source, (bytes, bytearray)):
         return source.decode("utf-8")
-    if hasattr(source, "read"):
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
     with open(source, "rb") as fh:
         return fh.read().decode("utf-8")
 
@@ -259,7 +261,7 @@ def _decimal(text: str, memo: Dict[str, Fraction]) -> Fraction:
 
 
 def parse_log(source) -> List[ReplayRecord]:
-    """Parse and validate a swap log; returns records sorted as given.
+    """Parse and validate a swap log (a path, or bytes); returns records sorted as given.
 
     Raises :class:`LogFormatError` collecting every malformed row and every
     violated attack-bracket invariant, each with its line number.
@@ -275,6 +277,7 @@ def parse_log(source) -> List[ReplayRecord]:
     memo: Dict[str, Fraction] = {}
     records: List[ReplayRecord] = []
     lines: List[int] = []
+    groups: Dict[str, List[int]] = {}  # attack id -> indices into records
     for offset, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -317,19 +320,15 @@ def parse_log(source) -> List[ReplayRecord]:
         if amount.numerator <= 0 or rx.numerator <= 0 or ry.numerator <= 0:
             errors.append((offset, "amounts and reserves must be positive"))
             continue
+        if records and (block, tx) <= (records[-1].block_number, records[-1].tx_index):
+            errors.append((offset, "records must be strictly sorted by (block_number, tx_index)"))
+        if attack_id:
+            groups.setdefault(attack_id, []).append(len(records))
         records.append(
             ReplayRecord(block, tx, pair_id, role, attack_id, token_in, amount, rx, ry, px, py)
         )
         lines.append(offset)
 
-    for prev, cur, line in zip(records, records[1:], lines[1:]):
-        if (cur.block_number, cur.tx_index) <= (prev.block_number, prev.tx_index):
-            errors.append((line, "records must be strictly sorted by (block_number, tx_index)"))
-
-    groups: Dict[str, List[int]] = {}
-    for idx, rec in enumerate(records):
-        if rec.attack_id:
-            groups.setdefault(rec.attack_id, []).append(idx)
     for attack_id, members in groups.items():
         fronts = [i for i in members if records[i].role == ROLE_FRONTRUN]
         backs = [i for i in members if records[i].role == ROLE_BACKRUN]
@@ -386,86 +385,67 @@ def _backrun_mismatch(back: Fraction, a: Fraction, s: Fraction, r: Fraction) -> 
     return gap * BACKRUN_MATCH_RTOL.denominator > BACKRUN_MATCH_RTOL.numerator * a_r
 
 
-@dataclass
-class _Attack:
-    front: ReplayRecord
-    victims: List[ReplayRecord] = field(default_factory=list)
-
-
-def _collect_attacks(records: Sequence[ReplayRecord]) -> List[_Attack]:
-    # two passes so the result does not depend on the input ordering
-    by_id: Dict[str, _Attack] = {}
-    for rec in records:
-        if rec.role == ROLE_FRONTRUN:
-            by_id[rec.attack_id] = _Attack(rec)
-    for rec in records:
-        if rec.role == ROLE_VICTIM:
-            by_id[rec.attack_id].victims.append(rec)
-    for attack in by_id.values():
-        attack.victims.sort(key=lambda r: (r.block_number, r.tx_index))
-    return [by_id[a] for a in sorted(by_id)]
-
-
 def run_counterfactual(records: Sequence[ReplayRecord], config: ScenarioConfig) -> ReplaySummary:
     """Reprice every attack under ``config`` and aggregate.
 
-    The victim size of an attack is the sum of all victim inputs inside the
-    bracket; reserves come from the front-run's logged snapshot.  Profits
-    convert to USD with the record-level price of the sent asset; pairs with
-    any attack missing that price are excluded from the summary (and
-    counted), mirroring a price-coverage cut.
+    ``records`` must be ones :func:`parse_log` accepts.  The victim size of
+    an attack is the sum of all victim inputs inside the bracket; reserves
+    come from the front-run's logged snapshot.  Profits convert to USD with
+    the record-level price of the sent asset; pairs with any attack missing
+    that price are excluded from the summary (and counted), mirroring a
+    price-coverage cut.
     """
     conv = float if config.arithmetic == "float64" else (lambda v: v)
     beta = config.external_reserve_multiple
     if beta is not None:
         beta = conv(beta)
 
-    outcomes: List[AttackOutcome] = []
-    for attack in _collect_attacks(records):
-        front = attack.front
-        reserve_in = conv(front.reserve_x_before if front.token_in == "X" else front.reserve_y_before)
-        attack_dx = conv(front.amount_in)
-        victim_dx = conv(sum(v.amount_in for v in attack.victims))
-        if config.algorithm is Algorithm.CPMM:
-            profit = sandwich_profit_cpmm_closed(reserve_in, victim_dx, attack_dx)
-        elif config.split_count is not None:
-            profit = sandwich_profit_nsplit(reserve_in, config.split_count, victim_dx, attack_dx)
-        else:
-            profit = sandwich_profit_beta(reserve_in, beta, victim_dx, attack_dx)
-        price = front.price_usd_x if front.token_in == "X" else front.price_usd_y
-        usd = None if price is None else profit * conv(price)
-        outcomes.append(
-            AttackOutcome(
-                front.attack_id, front.pair_id, front.block_number, front.token_in,
-                reserve_in, attack_dx, victim_dx, profit, usd,
-            )
-        )
+    fronts: List[ReplayRecord] = []
+    victim_in: Dict[str, Fraction] = {}  # exact sums, so their order does not matter
+    for rec in records:
+        if rec.role == ROLE_FRONTRUN:
+            fronts.append(rec)
+        elif rec.role == ROLE_VICTIM:
+            victim_in[rec.attack_id] = victim_in.get(rec.attack_id, 0) + rec.amount_in
+    fronts.sort(key=lambda f: (f.pair_id, f.block_number, f.attack_id))
 
-    by_pair: Dict[str, List[AttackOutcome]] = {}
-    for out in outcomes:
-        by_pair.setdefault(out.pair_id, []).append(out)
-
-    excluded = tuple(
-        sorted(pid for pid, outs in by_pair.items() if any(o.profit_usd is None for o in outs))
-    )
     per_pair: List[PairBreakdown] = []
-    total_usd: Num = conv(Fraction(0))
-    attack_count = 0
-    negative = 0
+    excluded: List[str] = []
     kept: List[AttackOutcome] = []
-    for pair_id in sorted(by_pair):
-        if pair_id in excluded:
+    total_usd: Num = conv(Fraction(0))
+    negative = 0
+    for pair_id, pair_fronts in groupby(fronts, key=attrgetter("pair_id")):
+        outs: List[AttackOutcome] = []
+        for front in pair_fronts:
+            reserve_in = conv(front.reserve_x_before if front.token_in == "X" else front.reserve_y_before)
+            attack_dx = conv(front.amount_in)
+            victim_dx = conv(victim_in.get(front.attack_id, 0))
+            if config.algorithm is Algorithm.CPMM:
+                profit = sandwich_profit_cpmm_closed(reserve_in, victim_dx, attack_dx)
+            elif config.split_count is not None:
+                profit = sandwich_profit_nsplit(reserve_in, config.split_count, victim_dx, attack_dx)
+            else:
+                profit = sandwich_profit_beta(reserve_in, beta, victim_dx, attack_dx)
+            price = front.price_usd_x if front.token_in == "X" else front.price_usd_y
+            usd = None if price is None else profit * conv(price)
+            outs.append(
+                AttackOutcome(
+                    front.attack_id, pair_id, front.block_number, front.token_in,
+                    reserve_in, attack_dx, victim_dx, profit, usd,
+                )
+            )
+        if any(o.profit_usd is None for o in outs):
+            excluded.append(pair_id)
             continue
-        outs = sorted(by_pair[pair_id], key=lambda o: (o.block_number, o.attack_id))
         native = sum(o.profit_native for o in outs)
         usd = sum(o.profit_usd for o in outs)
         neg = sum(1 for o in outs if o.profit_native < 0)
         per_pair.append(PairBreakdown(pair_id, len(outs), native, usd, neg))
         total_usd = total_usd + usd
-        attack_count += len(outs)
         negative += neg
         kept.extend(outs)
 
+    attack_count = len(kept)
     pct = Fraction(negative, attack_count) if attack_count else Fraction(0)
     if config.arithmetic == "float64":
         pct = float(pct)
@@ -474,7 +454,7 @@ def run_counterfactual(records: Sequence[ReplayRecord], config: ScenarioConfig) 
         total_attacker_profit_usd=total_usd,
         pct_negative_profit=pct,
         per_pair=tuple(per_pair),
-        excluded_pairs=excluded,
+        excluded_pairs=tuple(excluded),
         attacks=tuple(kept),
     )
 

@@ -47,6 +47,22 @@ class TestQuote:
         assert rc == 0
         assert "amount_out: 0.00" in out
 
+    def test_zero_rebalancing_quote_prices_as_gmm(self, capsys):
+        rc, out, _ = run(capsys, [
+            "quote", "--pools", "100:400000,100:400000", "--amount", "0",
+            "--algorithm", "gmm-rebal",
+        ])
+        assert rc == 0
+        assert out == "amount_out: 0.00\nbranch: local-cpmm\nclassification: divergent\n"
+
+    def test_pool_index_out_of_range(self, capsys):
+        rc, out, err = run(capsys, [
+            "quote", "--pools", "100:400000,100:400000", "--amount", "1", "--pool-index", "7",
+        ])
+        assert rc == 1
+        assert out == ""
+        assert err == "error: pool index 7 out of range\n"
+
     def test_rebalancing_quote(self, capsys):
         rc, out, _ = run(capsys, [
             "quote", "--pools", "90:440000,210:760000", "--send", "X", "--amount", "1",
@@ -138,6 +154,12 @@ class TestSweep:
         ])
         assert rc == 2
         assert "empty" in err
+
+    def test_range_without_step_is_domain_error(self, capsys):
+        rc, out, err = run(capsys, ["sweep", "mev", "--xi", "1", "--victim", "1", "--range", "1:2"])
+        assert rc == 1
+        assert out == ""
+        assert err == "error: bad range '1:2', expected lo:hi:step\n"
 
     def test_oversized_range_fails_fast(self, capsys):
         # about 1e9 points: rejected from lo:hi:step before any is built
@@ -243,6 +265,27 @@ class TestReplay:
         payload = json.loads(out)
         assert payload["pairs"][0]["volatility"] == "low"
 
+    @pytest.mark.parametrize("threshold", ["abc", "1e999999", "nan"])
+    def test_bad_lambda_threshold_is_domain_error(self, capsys, tmp_path, threshold):
+        # parsed like every other numeric flag: exit 1 with an error line, not a usage error
+        log = tmp_path / "log.csv"
+        log.write_text(PART2_LOG)
+        rc, out, err = run(capsys, ["replay", "--log", str(log), "--il",
+                                    "--lambda-threshold", threshold])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_exact_lambda_threshold(self, capsys, tmp_path):
+        # 11/10 lies below the pair's price ratio of 4/3.6, and 1.12 above it
+        log = tmp_path / "log.csv"
+        log.write_text(PART2_LOG.replace(",1.0,4000\n", ",1.0,3600\n", 1))
+        for threshold, klass in (("11/10", "high"), ("1.12", "low")):
+            rc, out, _ = run(capsys, ["replay", "--log", str(log), "--il", "--alphas", "0.5",
+                                      "--lambda-threshold", threshold])
+            assert rc == 0
+            assert json.loads(out)["pairs"][0]["volatility"] == klass
+
     def test_bad_log_lists_lines(self, capsys, tmp_path):
         log = tmp_path / "log.csv"
         log.write_text(PART2_LOG.replace("13.0435", "99"))
@@ -278,6 +321,8 @@ class TestReplay:
         [], {}, {"algorithm": "gmm", "split_count": True},
         {"algorithm": "gmm", "external_reserve_multiple": "1/0"},
         {"algorithm": "gmm", "external_reserve_multiple": "1e999999"},
+        {"algorithm": "gmm", "split_count": 10**400, "arithmetic": "float64"},
+        {"algorithm": "gmm", "external_reserve_multiple": 10**400, "arithmetic": "float64"},
     ])
     def test_malformed_config_is_domain_error(self, capsys, tmp_path, config):
         log, cfg = self.write_inputs(tmp_path, config)
@@ -427,13 +472,73 @@ def _log_text(draw):
     return "\n".join(lines) + "\n"
 
 
+_SCENARIOS = (
+    {"algorithm": "cpmm"},
+    {"algorithm": "gmm", "external_reserve_multiple": "9/4"},
+    {"algorithm": "gmm", "external_reserve_multiple": 0.5, "arithmetic": "float64", "seed": 1},
+    {"algorithm": "gmm", "split_count": 3, "arithmetic": "float64"},
+)
+_SCENARIO_VALUES = {
+    "algorithm": ("cpmm", "gmm", "ngmm", "gmm-rebal", "GMM", ""),
+    "external_reserve_multiple": (0, 1, -1, 0.5, "9/4", "1e100", "1e101", "1/0", "abc",
+                                  10**100, 10**100 + 1, 10**400, float("nan"), float("inf")),
+    "split_count": (1, 3, 0, -1, 3.0, "3", True, 10**100, 10**100 + 1, 10**400),
+    "arithmetic": ("rational", "float64", "decimal", ""),
+    "seed": (0, 7, "x"),
+}
+_MISSPELT_KEYS = ("reserve_multiple", "arithmatic", "Algorithm", "")
+_ANY_VALUE = st.one_of(
+    st.sampled_from(_NUMBERS), st.sampled_from((True, None, -10**400)),
+    st.integers(), st.floats(), st.lists(st.integers(0, 3), max_size=2),
+)
+_SCENARIO_DOCUMENTS = ("", "{not json", "[]", "null", '"gmm"', "1e400", "NaN",
+                       '{"algorithm": "gmm",}', '{"algorithm": "gmm", "split_count": 1e400}')
+
+
+@st.composite
+def _scenario_text(draw):
+    """Scenario-file contents: a valid scenario with keys (now and then a
+    misspelt one) set to drawn values or dropped, each value three times in
+    four one meant for its key, else of any JSON type; one time in eight a
+    document that is not an object.  Draws shrink towards the valid one."""
+    scenario = dict(draw(st.sampled_from(_SCENARIOS)))
+    for _ in range(draw(st.integers(0, 3))):
+        keys = sorted(_SCENARIO_VALUES) if draw(st.integers(0, 7)) < 7 else _MISSPELT_KEYS
+        key = draw(st.sampled_from(keys))
+        if draw(st.integers(0, 3)) == 3:
+            scenario.pop(key, None)
+        elif key in _SCENARIO_VALUES and draw(st.integers(0, 3)) < 3:
+            scenario[key] = draw(st.sampled_from(_SCENARIO_VALUES[key]))
+        else:
+            scenario[key] = draw(_ANY_VALUE)
+    if draw(st.integers(0, 7)) == 7:
+        return draw(st.sampled_from(_SCENARIO_DOCUMENTS))
+    return json.dumps(scenario)
+
+
+def _exits_cleanly(argv, drawn):
+    """Run ``main(argv)`` on drawn input: a documented exit code, no
+    traceback, and an ``error:`` line exactly when it fails."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    message = err.getvalue()
+    assert rc in (0, 1, 2), (drawn, message)
+    assert "Traceback" not in message
+    if rc:
+        assert message.startswith("error:"), (drawn, message)
+    else:
+        assert message == ""
+
+
 class TestFuzz:
     @pytest.fixture(scope="class", autouse=True)
     def workdir(self, tmp_path_factory):
         # relative paths in the drawn arguments resolve here
         path = tmp_path_factory.mktemp("fuzz")
         (path / "log.csv").write_text(PART2_LOG)
-        (path / "config.json").write_text(json.dumps({"algorithm": "gmm", "reserve_multiple": 1}))
+        (path / "config.json").write_text(
+            json.dumps({"algorithm": "gmm", "external_reserve_multiple": 1}))
         (path / "bad.json").write_text("{not json")
         (path / "scenario.json").write_text(json.dumps({"algorithm": "gmm", "split_count": 3}))
         cwd = os.getcwd()
@@ -459,16 +564,15 @@ class TestFuzz:
             fh.write(text)
         argv = ["replay", "--log", "drawn.csv", "--out", "drawn.json"]
         argv += ["--il"] if il else ["--config", "scenario.json"]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv)
-        message = err.getvalue()
-        assert rc in (0, 1, 2), (text, message)
-        assert "Traceback" not in message
-        if rc:
-            assert message.startswith("error:"), (text, message)
-        else:
-            assert message == ""
+        _exits_cleanly(argv, text)
+
+    @given(text=_scenario_text())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_drawn_scenario_contents(self, text):
+        with open("drawn.json", "w", encoding="utf-8") as fh:
+            fh.write(text)
+        _exits_cleanly(["replay", "--log", "log.csv", "--config", "drawn.json",
+                        "--out", "summary.json"], text)
 
     @pytest.mark.parametrize("argv", [
         ["quote", "--pools", "1:1", "--amount", "1/0"],

@@ -17,6 +17,7 @@ from ammlab.core import Algorithm, DomainError, cpmm_out
 from ammlab.replay import (
     BACKRUN_MATCH_RTOL,
     CSV_COLUMNS,
+    MAX_LITERAL_EXPONENT,
     LogFormatError,
     ReplayRecord,
     ScenarioConfig,
@@ -112,6 +113,35 @@ class TestParseLog:
         with pytest.raises(LogFormatError):
             parse_log(log_text(rows).encode())
 
+    FRONT, VICTIM, BACK = PART2_ROWS
+
+    @pytest.mark.parametrize("rows, error", [
+        ([BACK.replace("100,2,", "100,0,"), FRONT.replace("100,0,", "100,1,")],
+         (3, "attack 'atk-1': frontrun after backrun")),
+        ([FRONT, VICTIM.replace("PAIR-A", "PAIR-B"), BACK],
+         (2, "attack 'atk-1' spans multiple pairs")),
+        ([FRONT, BACK.replace("100,2,", "100,1,"), VICTIM.replace("100,1,", "100,2,")],
+         (2, "attack 'atk-1': victims must sit between frontrun and backrun")),
+        ([FRONT, VICTIM, BACK.replace(",Y,", ",X,")],
+         (4, "attack 'atk-1': backrun must send the other asset")),
+    ])
+    def test_bracket_error_line_and_message(self, rows, error):
+        with pytest.raises(LogFormatError) as err:
+            parse_log(log_text(rows).encode())
+        assert err.value.errors == [error]
+
+    def test_empty_file_is_line_one(self):
+        with pytest.raises(LogFormatError) as err:
+            parse_log(b"")
+        assert err.value.errors == [(1, "empty file, expected header")]
+
+    def test_blank_rows_are_skipped_but_counted(self):
+        rows = [self.FRONT, "", self.VICTIM, "", self.BACK]
+        assert parse_log(log_text(rows).encode()) == part2_records()
+        with pytest.raises(LogFormatError) as err:
+            parse_log(log_text(rows + ["", "101,0,PAIR-A,normal"]).encode())
+        assert err.value.errors == [(8, "expected 11 columns, got 4")]
+
     def test_synthetic_round_trip_is_exact(self):
         records = synthetic_attack_records(seed=20230101, n_attacks=25)
         parsed = parse_log(records_to_csv(records).encode())
@@ -160,6 +190,16 @@ class TestScenarioConfig:
     def test_bad_arithmetic(self):
         with pytest.raises(DomainError):
             ScenarioConfig(Algorithm.CPMM, arithmetic="decimal")
+
+    @pytest.mark.parametrize("arithmetic", ["rational", "float64"])
+    @pytest.mark.parametrize("field", ["external_reserve_multiple", "split_count"])
+    def test_scenario_numbers_are_capped(self, field, arithmetic):
+        # a float64 replay converts both to float, which overflows past about 1e308
+        cap = 10**MAX_LITERAL_EXPONENT
+        config = ScenarioConfig(Algorithm.GMM, arithmetic=arithmetic, **{field: cap})
+        assert getattr(config, field) == cap
+        with pytest.raises(DomainError, match="at most 10\\*\\*100"):
+            ScenarioConfig(Algorithm.GMM, arithmetic=arithmetic, **{field: cap + 1})
 
 
 class TestCounterfactual:

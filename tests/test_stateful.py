@@ -1,14 +1,19 @@
 """A stateful twin: one exact ecosystem and its float image, driven through
-the same swaps and rebalancing quotes.
+the same swaps, rebalancing quotes and bare rebalancing.
 
 After every step the carried totals equal fresh sums, and the float image
 stays within 1e-9 relative of the exact one (the README numerics contract,
 here over sequences of operations).  Under the global and naive-global
 rules a swap never decreases ``total_x * total_y``, and rebalancing never
-moves the exact totals.  Quotes change no state: each rule's float quote
-is within 1e-9 of its exact one, a global-rule quote is at most both the
-local and the naive-global one, and a naive-global quote is capped at the
-reserve it pays from.
+moves the exact totals.  Over each run of global-rule swaps no pool ends
+weakly below its start in both assets and strictly below in one (criterion
+06's claim); any other step that changes state starts a new run.  Bare
+rebalancing keeps the promises of ``rebalance_pools``: the exact loop makes
+at most ``len(pools) - 1`` transfers, and the target's ratio moves weakly
+toward the global one and never past it.  Quotes change no state: each
+rule's float quote is within 1e-9 of its exact one, a global-rule quote is
+at most both the local and the naive-global one, and a naive-global quote
+is capped at the reserve it pays from.
 
 The float and exact rebalancing loops may part only on a tie: where one
 stops (or does not trigger) and the other goes on, the deciding ratio gap
@@ -36,7 +41,7 @@ from ammlab.core import (
     apply_swap,
     quote_order,
 )
-from ammlab.rebalance import FLOAT_RATIO_TOL, gmm_rebal_transfers
+from ammlab.rebalance import FLOAT_RATIO_TOL, gmm_rebal_transfers, rebalance_pools
 
 FLOAT_REL_TOL = F(1, 10**9)
 RESERVES = st.integers(1_000, 10_000_000)
@@ -75,6 +80,7 @@ class ExactFloatTwin(RuleBasedStateMachine):
     def build(self, pairs):
         self.exact = Ecosystem.from_reserves([(F(x), F(y)) for x, y in pairs])
         self.float = _float_image(self.exact)
+        self.baseline = self.exact  # the start of the current run of global-rule swaps
 
     def _target(self, pool: int):
         idx = pool % len(self.exact.pools)
@@ -98,6 +104,8 @@ class ExactFloatTwin(RuleBasedStateMachine):
         if alg is not Algorithm.CPMM:
             assert exact.total_x * exact.total_y >= self.exact.total_x * self.exact.total_y
         self.exact = exact
+        if alg is not Algorithm.GMM:
+            self.baseline = exact
 
     @rule(side=st.sampled_from((SIDE_X, SIDE_Y)), pool=POOL, k=st.integers(1, 64))
     def quote(self, side, pool, k):
@@ -123,11 +131,27 @@ class ExactFloatTwin(RuleBasedStateMachine):
             float(dx), self.float, target.pool_id, forced
         )
         assert (exact.total_x, exact.total_y) == (self.exact.total_x, self.exact.total_y)
+        if self._take_rebalanced(idx, exact, exact_moves, image, float_moves):
+            assert _close(float_quote.amount_out, exact_quote.amount_out)
+
+    @rule(pool=POOL)
+    def rebalance_alone(self, pool):
+        idx, target = self._target(pool)
+        r = self.exact.ratio
+        exact, exact_moves = rebalance_pools(self.exact, target.pool_id)
+        image, float_moves = rebalance_pools(self.float, target.pool_id)
+        assert (exact.total_x, exact.total_y) == (self.exact.total_x, self.exact.total_y)
+        assert len(exact_moves) <= len(exact.pools) - 1
+        assert min(target.ratio, r) <= exact.pools[idx].ratio <= max(target.ratio, r)
+        self._take_rebalanced(idx, exact, exact_moves, image, float_moves)
+
+    def _take_rebalanced(self, idx, exact, exact_moves, image, float_moves) -> bool:
+        """Move the twin to the rebalanced ecosystems; True when both loops
+        made the same moves."""
         exact_path = [t.to_pool for t in exact_moves]
         float_path = [t.to_pool for t in float_moves]
-        if exact_path == float_path:
-            assert _close(float_quote.amount_out, exact_quote.amount_out)
-        else:
+        same = exact_path == float_path
+        if not same:
             # the loops parted on a tie, at the first move they disagree on
             n = next(i for i, pair in enumerate(zip_longest(exact_path, float_path))
                      if pair[0] != pair[1])
@@ -138,13 +162,20 @@ class ExactFloatTwin(RuleBasedStateMachine):
             else:  # one loop stopped, or did not start, where the other went on
                 assert _deciding_gap(at, idx) <= FLOAT_RATIO_TOL
             image = _float_image(exact)  # from here on the two differ by design
-        self.exact, self.float = exact, image
+        self.exact, self.float, self.baseline = exact, image, exact
+        return same
 
     @invariant()
     def totals_are_fresh_sums(self):
         for eco in (self.exact, self.float):
             assert eco.total_x == sum(p.x for p in eco.pools)
             assert eco.total_y == sum(p.y for p in eco.pools)
+
+    @invariant()
+    def global_rule_drains_no_pool(self):
+        for start, now in zip(self.baseline.pools, self.exact.pools):
+            dx, dy = now.x - start.x, now.y - start.y
+            assert not (dx <= 0 and dy <= 0 and (dx < 0 or dy < 0)), (start, now)
 
     @invariant()
     def float_image_tracks_exact(self):
