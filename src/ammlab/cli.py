@@ -174,15 +174,15 @@ def cmd_toy(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    if not args.il and args.config is None:  # checked before a large log is parsed
+        print("error: --config is required unless --il is given", file=sys.stderr)
+        return 2
     records = parse_log(args.log)
     if args.il:
         alphas = [parse_number(a) for a in args.alphas.split(",") if a]
         report = il_portfolio_report(records, alphas, parse_number(args.lambda_threshold))
         payload = report.to_json_dict()
     else:
-        if args.config is None:
-            print("error: --config is required unless --il is given", file=sys.stderr)
-            return 2
         with open(args.config, "r", encoding="utf-8") as fh:
             config = ScenarioConfig.from_json(fh.read())
         summary = run_counterfactual(records, config)

@@ -17,12 +17,11 @@ path); each function preserves whichever flavor it is given.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
-
-from .numeric import is_exact
 
 Num = Union[int, float, Fraction]
 
@@ -64,6 +63,11 @@ class Algorithm(Enum):
             raise DomainError(f"unknown algorithm {token!r}") from None
 
 
+# the per-order path reads the members as globals: an attribute of an Enum
+# class is several times slower to look up
+_CPMM, _NGMM, _GMM = Algorithm.CPMM, Algorithm.NGMM, Algorithm.GMM
+
+
 @dataclass(frozen=True)
 class PoolState:
     """Reserves of one pool.  Both sides must stay strictly positive."""
@@ -74,9 +78,14 @@ class PoolState:
 
     def __post_init__(self):
         if not (self.x > 0 and self.y > 0):
-            raise DomainError(
-                f"pool {self.pool_id!r} requires strictly positive reserves, got ({self.x}, {self.y})"
-            )
+            raise _nonpositive(self.pool_id, self.x, self.y)
+
+    @classmethod
+    def _unchecked(cls, pool_id: str, x: Num, y: Num) -> "PoolState":
+        """A pool whose reserves the caller has already proven positive."""
+        new = object.__new__(cls)
+        new.__dict__.update(pool_id=pool_id, x=x, y=y)
+        return new
 
     @property
     def ratio(self) -> Num:
@@ -89,7 +98,11 @@ class PoolState:
 
     def relabeled(self) -> "PoolState":
         """Same pool with the asset labels swapped."""
-        return PoolState(self.pool_id, self.y, self.x)
+        return PoolState._unchecked(self.pool_id, self.y, self.x)
+
+
+def _nonpositive(pool_id: str, x: Num, y: Num) -> DomainError:
+    return DomainError(f"pool {pool_id!r} requires strictly positive reserves, got ({x}, {y})")
 
 
 @dataclass(frozen=True)
@@ -115,6 +128,15 @@ class Ecosystem:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "total_x", sum(p.x for p in self.pools))
         object.__setattr__(self, "total_y", sum(p.y for p in self.pools))
+
+    @classmethod
+    def _unchecked(cls, pools: Tuple[PoolState, ...], total_x: Num, total_y: Num,
+                   index: Dict[str, int]) -> "Ecosystem":
+        """An ecosystem whose totals and index map the caller has already
+        proven to be those of ``pools``."""
+        new = object.__new__(cls)
+        new.__dict__.update(pools=pools, total_x=total_x, total_y=total_y, _index=index)
+        return new
 
     @classmethod
     def from_reserves(
@@ -149,21 +171,27 @@ class Ecosystem:
         so they stay bit-identical to those of a fresh ``Ecosystem``.
         """
         pools = self.pools[:idx] + (pool,) + self.pools[idx + 1:]
-        if (is_exact(self.total_x) and is_exact(self.total_y)
-                and is_exact(pool.x) and is_exact(pool.y)):
-            total_x = self.total_x + dx
-            total_y = self.total_y + dy
+        total_x, total_y = self.total_x, self.total_y
+        # an operand is exact (int or Fraction) exactly when it is no float
+        if not (isinstance(total_x, float) or isinstance(total_y, float)
+                or isinstance(pool.x, float) or isinstance(pool.y, float)):
+            total_x += dx
+            total_y += dy
         else:
             total_x = total_y = 0  # the start and order of sum()
             for p in pools:
                 total_x += p.x
                 total_y += p.y
-        new = object.__new__(Ecosystem)
-        new.__dict__.update(pools=pools, total_x=total_x, total_y=total_y, _index=self._index)
-        return new
+        return Ecosystem._unchecked(pools, total_x, total_y, self._index)
 
     def relabeled(self) -> "Ecosystem":
-        return Ecosystem(tuple(p.relabeled() for p in self.pools))
+        """Same ecosystem with the asset labels swapped.
+
+        The index map is shared, and the totals are swapped: a fresh
+        ``Ecosystem`` would sum the same values in the same order.
+        """
+        pools = tuple([PoolState._unchecked(p.pool_id, p.y, p.x) for p in self.pools])
+        return Ecosystem._unchecked(pools, self.total_y, self.total_x, self._index)
 
 
 @dataclass(frozen=True)
@@ -178,8 +206,8 @@ class SwapOrder:
     def __post_init__(self):
         if self.side not in (SIDE_X, SIDE_Y):
             raise DomainError(f"side must be {SIDE_X!r} or {SIDE_Y!r}, got {self.side!r}")
-        if self.amount_in < 0:
-            raise DomainError("amount_in must be nonnegative")
+        if not 0 <= self.amount_in < math.inf:  # False for NaN
+            raise DomainError(f"amount_in must be nonnegative and finite, got {self.amount_in}")
 
 
 @dataclass(frozen=True)
@@ -202,21 +230,42 @@ def cpmm_out(dx: Num, x_i: Num, y_i: Num) -> Num:
         raise DomainError("reserves must be strictly positive")
     if dx < 0:
         raise DomainError("swap amount must be nonnegative")
-    return y_i * dx / (x_i + dx)
+    return _out(dx, x_i, y_i, x_i, y_i, _CPMM)  # a lone pool: its reserves are the totals
+
+
+def _out(dx: Num, x_i: Num, y_i: Num, total_x: Num, total_y: Num, alg: Algorithm) -> Num:
+    """Amount paid under ``alg`` for ``dx`` of X sent to a pool holding
+    ``(x_i, y_i)`` in an ecosystem with aggregates ``(total_x, total_y)``.
+
+    The one place where the local output and the capped naive-global
+    output are computed, each only when the rule reads it; the global rule
+    takes the lesser (ties to the naive one).  Inputs are not checked.
+    """
+    if alg is not _NGMM:
+        local = y_i * dx / (x_i + dx)
+        if alg is _CPMM:
+            return local
+    raw = total_y * dx / (total_x + dx)
+    naive = raw if raw < y_i else y_i
+    if alg is _NGMM:
+        return naive
+    if alg is _GMM:
+        return naive if naive <= local else local
+    raise DomainError(f"unsupported algorithm {alg}")
 
 
 def _quote(dx: Num, x_i: Num, y_i: Num, total_x: Num, total_y: Num, alg: Algorithm) -> Quote:
-    """Price ``dx`` of X sent to a pool holding ``(x_i, y_i)`` in an ecosystem
-    with aggregates ``(total_x, total_y)``.  Send-Y orders pass every pair
-    swapped.
+    """:func:`_out` with the branch and the classification of the order.
+    Send-Y orders pass every pair swapped.
 
-    The local and naive-global outputs and the classification are each
-    computed once.  A single pool has an empty complement, so it classifies
-    divergent.
+    A single pool has an empty complement, so it classifies divergent.  A
+    divergent order is priced locally: exactly, its naive output is then at
+    least the local one.
     """
-    local = cpmm_out(dx, x_i, y_i)
-    raw = total_y * dx / (total_x + dx)
-    naive = raw if raw < y_i else y_i
+    if dx < 0:
+        raise DomainError("swap amount must be nonnegative")
+    local = _out(dx, x_i, y_i, total_x, total_y, _CPMM)
+    naive = _out(dx, x_i, y_i, total_x, total_y, _NGMM)
     # r_i <= r_rest, cross-multiplied (all positive)
     if y_i * (total_x - x_i) <= (total_y - y_i) * x_i:
         classification = DIVERGENT
@@ -224,11 +273,11 @@ def _quote(dx: Num, x_i: Num, y_i: Num, total_x: Num, total_y: Num, alg: Algorit
         classification = CONVERGENT
     else:
         classification = OVERSHOOTING
-    if alg is Algorithm.GMM:  # the global rule takes the lesser output
-        alg = Algorithm.NGMM if classification == CONVERGENT else Algorithm.CPMM
-    if alg is Algorithm.CPMM:
+    if alg is _GMM:  # the global rule takes the lesser output
+        alg = _NGMM if classification == CONVERGENT else _CPMM
+    if alg is _CPMM:
         return Quote(local, BRANCH_CPMM, classification)
-    if alg is Algorithm.NGMM:
+    if alg is _NGMM:
         return Quote(naive, BRANCH_NGMM, classification)
     raise DomainError(f"unsupported algorithm {alg}")
 
@@ -285,7 +334,9 @@ def apply_swap(eco: Ecosystem, order: SwapOrder, alg: Algorithm) -> Tuple[Ecosys
     Only the target pool changes: the sent side grows by ``amount_in``, the
     received side shrinks by the output.  The input ecosystem is never
     mutated.  Paying out a full reserve raises ``ReserveDepletionError``
-    (reachable only under the naive global rule).
+    (reachable only under the naive global rule); reserves that are not
+    strictly positive afterwards (a float overflow or NaN) raise
+    ``DomainError``.  Only the amount is priced: no label, no ``Quote``.
     """
     idx = eco.index_of(order.pool_id)
     dx = order.amount_in
@@ -293,16 +344,20 @@ def apply_swap(eco: Ecosystem, order: SwapOrder, alg: Algorithm) -> Tuple[Ecosys
         return eco, 0
     pool = eco.pools[idx]
     x_i, y_i, total_x, total_y = _send_x_view(eco, pool, order.side)
-    out = _quote(dx, x_i, y_i, total_x, total_y, alg).amount_out
+    out = _out(dx, x_i, y_i, total_x, total_y, alg)
     if out >= y_i:
         raise ReserveDepletionError(
             f"swap would drain pool {order.pool_id!r}: out={out} >= reserve={y_i}"
         )
     if order.side == SIDE_X:
-        new_pool = PoolState(pool.pool_id, pool.x + dx, pool.y - out)
-        return eco._successor(idx, new_pool, dx, -out), out
-    new_pool = PoolState(pool.pool_id, pool.x - out, pool.y + dx)
-    return eco._successor(idx, new_pool, -out, dx), out
+        delta_x, delta_y = dx, -out
+    else:
+        delta_x, delta_y = -out, dx
+    new_x, new_y = pool.x + delta_x, pool.y + delta_y
+    if not (new_x > 0 and new_y > 0):
+        raise _nonpositive(pool.pool_id, new_x, new_y)
+    new_pool = PoolState._unchecked(pool.pool_id, new_x, new_y)
+    return eco._successor(idx, new_pool, delta_x, delta_y), out
 
 
 def pool_value(pool: PoolState, price: Num) -> Num:

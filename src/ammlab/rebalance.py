@@ -112,10 +112,24 @@ def inter_pool_quote(dx: Num, to_pool: str, eco: Ecosystem) -> Num:
 
 
 def _ratio_strictly_below(num_ratio: Num, target: Num) -> bool:
-    if is_exact(num_ratio) and is_exact(target):
-        return num_ratio < target
-    gap = float(target) - float(num_ratio)
-    return gap > FLOAT_RATIO_TOL * max(abs(float(num_ratio)), abs(float(target)), 1e-300)
+    if not (isinstance(num_ratio, float) and isinstance(target, float)):
+        if is_exact(num_ratio) and is_exact(target):
+            return num_ratio < target
+        num_ratio, target = float(num_ratio), float(target)
+    gap = target - num_ratio
+    return gap > FLOAT_RATIO_TOL * max(abs(num_ratio), abs(target), 1e-300)
+
+
+def _is_max_product(pools: Tuple[PoolState, ...], idx: int) -> bool:
+    """True when ``pools[idx]`` has the largest reserve product, ties going
+    to the lowest index."""
+    target = pools[idx]
+    best = target.x * target.y
+    for k, pool in enumerate(pools):
+        product = pool.x * pool.y
+        if product > best or (product == best and k < idx):
+            return False
+    return True
 
 
 def rebalance_pools(
@@ -139,15 +153,20 @@ def rebalance_pools(
     transfers = []
     limit = 16 * len(eco.pools) + 16
     for _ in range(limit):
-        l = work.pools[l_idx]
+        pools = work.pools
+        l = pools[l_idx]
         r = work.ratio
         if not _ratio_strictly_below(l.ratio, r):
             break
         # the highest ratio, ties to the lowest index; "strictly above r" is
         # monotone in the ratio, so no other pool can pass when this one fails
-        j_idx = max(others, key=lambda k: work.pools[k].ratio)
-        j = work.pools[j_idx]
-        if not _ratio_strictly_below(r, j.ratio):
+        j_idx = j_ratio = None
+        for k in others:
+            ratio = pools[k].y / pools[k].x
+            if j_idx is None or ratio > j_ratio:
+                j_idx, j_ratio = k, ratio
+        j = pools[j_idx]
+        if not _ratio_strictly_below(r, j_ratio):
             break
         amount = min(r * l.x - l.y, j.y - r * j.x) / (2 * r)
         if not amount > 0:
@@ -192,9 +211,10 @@ def gmm_rebal_transfers(
     when it did not engage)."""
     if not dx > 0:
         raise DomainError("order size must be positive")
-    target = eco.pools[eco.index_of(pool_id)]
+    idx = eco.index_of(pool_id)
+    target = eco.pools[idx]
     if force_trigger or (
-        max(eco.pools, key=lambda p: p.product) is target  # max keeps the first maximum
+        _is_max_product(eco.pools, idx)
         and _ratio_strictly_below(target.ratio, eco.ratio)
         and trade_preservation_condition(dx, eco).holds
     ):

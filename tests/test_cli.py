@@ -294,6 +294,19 @@ class TestReplay:
         rc, _, err = run(capsys, ["replay", "--log", str(log), "--config", str(cfg)])
         assert rc == 1
         assert "line 4" in err
+        assert err.splitlines()[0] == "error: invalid log"
+
+    @pytest.mark.parametrize("log_text", [PART2_LOG, PART2_LOG.replace("13.0435", "99"), None],
+                             ids=["valid-log", "invalid-log", "missing-log"])
+    def test_missing_config_is_usage_error_before_parsing(self, capsys, tmp_path, log_text):
+        # a valid log, an invalid one and a missing one all stop at the flags
+        log = tmp_path / "log.csv"
+        if log_text is not None:
+            log.write_text(log_text)
+        rc, out, err = run(capsys, ["replay", "--log", str(log)])
+        assert rc == 2
+        assert out == ""
+        assert err == "error: --config is required unless --il is given\n"
 
     @pytest.mark.parametrize("literal", ["1e1000000", "1E-1000000", "9" * 101])
     def test_oversized_literal_is_invalid_log(self, capsys, tmp_path, literal):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -36,6 +37,22 @@ pos_amounts = st.fractions(min_value=F(1, 100), max_value=F(10**6), max_denomina
 
 def twin_eco(x=100, y=400_000):
     return Ecosystem.from_reserves([(F(x), F(y))] * 2)
+
+
+@st.composite
+def exact_ecosystems(draw):
+    """Exact ecosystems of 1-5 pools; half of them hold every pool at one ratio."""
+    n = draw(st.integers(1, 5))
+    xs = draw(st.lists(reserves, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        ratio = draw(st.fractions(min_value=F(1, 100), max_value=F(100), max_denominator=100))
+        return Ecosystem.from_reserves([(x, x * ratio) for x in xs])
+    ys = draw(st.lists(reserves, min_size=n, max_size=n))
+    return Ecosystem.from_reserves(zip(xs, ys))
+
+
+def float_image(eco):
+    return Ecosystem.from_reserves([(float(p.x), float(p.y)) for p in eco.pools])
 
 
 class TestCpmmOut:
@@ -191,6 +208,15 @@ class TestApplySwap:
         with pytest.raises(ReserveDepletionError):
             apply_swap(eco, SwapOrder("amm1", SIDE_X, F(10)), Algorithm.NGMM)
 
+    @pytest.mark.parametrize("alg", [Algorithm.CPMM, Algorithm.GMM])
+    @pytest.mark.parametrize("side", [SIDE_X, SIDE_Y])
+    def test_float_overflow_is_domain_error(self, side, alg):
+        # x + dx overflows to inf and y * dx / inf is NaN: the successor's
+        # reserves are checked, so the NaN never reaches a pool
+        eco = Ecosystem.from_reserves([(1e308, 1e308), (1e308, 1e308)])
+        with pytest.raises(DomainError, match="strictly positive reserves"):
+            apply_swap(eco, SwapOrder("amm1", side, 1e308), alg)
+
     @given(
         pairs=st.lists(st.tuples(st.integers(10_000, 5_000_000), st.integers(10_000, 5_000_000)),
                        min_size=2, max_size=2),
@@ -248,6 +274,124 @@ class TestApplySwap:
                 assert (work.total_x, work.total_y) == (fresh.total_x, fresh.total_y)
                 assert type(work.total_x) is type(fresh.total_x)
                 assert work.pool(pool.pool_id) is work.pools[k % len(work.pools)]
+
+    @given(
+        pairs=st.lists(st.tuples(st.integers(1, 10**7), st.integers(1, 10**7)),
+                       min_size=1, max_size=5),
+        steps=st.lists(
+            st.tuples(st.integers(0, 4), st.sampled_from((SIDE_X, SIDE_Y)),
+                      st.fractions(F(1, 1000), F(3), max_denominator=1000),
+                      st.sampled_from((Algorithm.CPMM, Algorithm.GMM))),
+            min_size=1, max_size=8),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_int_and_fraction_pools_carry_exact_totals(self, pairs, steps):
+        # even pools hold ints, odd ones Fractions; a swap makes its pool a
+        # Fraction one, and the carried totals must equal fresh sums in value
+        # and type
+        work = Ecosystem.from_reserves(
+            [(x, y) if i % 2 == 0 else (F(x), F(y)) for i, (x, y) in enumerate(pairs)]
+        )
+        for k, side, scale, alg in steps:
+            pool = work.pools[k % len(work.pools)]
+            size = (pool.x if side == SIDE_X else pool.y) * scale
+            work, _ = apply_swap(work, SwapOrder(pool.pool_id, side, size), alg)
+            fresh = Ecosystem(work.pools)
+            assert (work.total_x, work.total_y) == (fresh.total_x, fresh.total_y)
+            assert (type(work.total_x), type(work.total_y)) == (type(fresh.total_x),
+                                                              type(fresh.total_y))
+
+
+class TestAmountKernel:
+    """``apply_swap`` prices only the amount; ``quote_order`` adds the label."""
+
+    @given(eco=exact_ecosystems(), k=st.integers(0, 4), side=st.sampled_from((SIDE_X, SIDE_Y)),
+           scale=st.fractions(min_value=0, max_value=4, max_denominator=1000))
+    @example(eco=Ecosystem.from_reserves([(F(100), F(5)), (F(90), F(844_439))]),
+             k=0, side=SIDE_X, scale=F(1, 10))
+    @example(eco=Ecosystem.from_reserves([(F(5), F(100)), (F(844_439), F(90))]),
+             k=0, side=SIDE_Y, scale=F(1, 10))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_swap_pays_the_quote(self, eco, k, side, scale):
+        pool = eco.pools[k % len(eco.pools)]
+        view = eco if side == SIDE_X else eco.relabeled()
+        target = view.pool(pool.pool_id)
+        x_i, y_i = target.x, target.y
+        dx = x_i * scale
+        order = SwapOrder(pool.pool_id, side, dx)
+        local = cpmm_out(dx, x_i, y_i)
+        naive = min(view.total_y * dx / (view.total_x + dx), y_i)
+        expected = {Algorithm.CPMM: local, Algorithm.NGMM: naive, Algorithm.GMM: min(naive, local)}
+        for alg, out in expected.items():
+            assert quote_order(eco, order, alg).amount_out == out
+            if out == y_i:  # only the naive rule can pay out a whole reserve
+                assert alg is Algorithm.NGMM
+                with pytest.raises(ReserveDepletionError):
+                    apply_swap(eco, order, alg)
+            else:
+                assert apply_swap(eco, order, alg)[1] == out
+
+    @given(eco=exact_ecosystems(), k=st.integers(0, 4), side=st.sampled_from((SIDE_X, SIDE_Y)),
+           scale=st.fractions(min_value=F(1, 10**6), max_value=4, max_denominator=10**6))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_float_swap_parts_from_quote_only_on_rounding(self, eco, k, side, scale):
+        # the global rule's swap takes min(naive, local); its quote prices a
+        # divergent order locally, where exactly naive >= local.  In floats
+        # the two may differ only where naive rounds below local
+        floats = float_image(eco)
+        pool = floats.pools[k % len(floats.pools)]
+        order = SwapOrder(pool.pool_id, side, (pool.x if side == SIDE_X else pool.y) * float(scale))
+        for alg in Algorithm:
+            quote = quote_order(floats, order, alg)
+            try:
+                out = apply_swap(floats, order, alg)[1]
+            except ReserveDepletionError:
+                assert alg is Algorithm.NGMM
+                continue
+            if out != quote.amount_out:
+                assert alg is Algorithm.GMM and quote.classification == DIVERGENT
+                assert out == quote_order(floats, order, Algorithm.NGMM).amount_out
+                assert out < quote.amount_out
+
+    @pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf, -1.0, F(-1, 3)])
+    @pytest.mark.parametrize("side", [SIDE_X, SIDE_Y])
+    def test_order_amount_must_be_finite_and_nonnegative(self, side, amount):
+        with pytest.raises(DomainError, match="amount_in"):
+            SwapOrder("amm1", side, amount)
+
+    @pytest.mark.parametrize("amount", [0, 0.0, F(0), 1e308, 10**400, F(10**400, 3)])
+    def test_large_and_zero_amounts_are_orders(self, amount):
+        assert SwapOrder("amm1", SIDE_Y, amount).amount_in == amount
+
+
+class TestRelabeled:
+    @staticmethod
+    def _check(eco):
+        flipped, fresh = eco.relabeled(), Ecosystem(tuple(p.relabeled() for p in eco.pools))
+        assert flipped == fresh
+        assert (flipped.total_x, flipped.total_y) == (fresh.total_x, fresh.total_y)
+        assert (type(flipped.total_x), type(flipped.total_y)) == (type(fresh.total_x),
+                                                                  type(fresh.total_y))
+        assert flipped._index == fresh._index
+        back = flipped.relabeled()
+        assert back == eco
+        assert (back.total_x, back.total_y) == (eco.total_x, eco.total_y)
+
+    @given(eco=exact_ecosystems(),
+           steps=st.lists(st.tuples(st.integers(0, 4), st.sampled_from((SIDE_X, SIDE_Y)),
+                                    st.fractions(F(1, 1000), F(3), max_denominator=1000)),
+                          max_size=4))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_same_as_a_fresh_ecosystem(self, eco, steps):
+        # fresh and after global-rule swaps, whose totals are carried
+        for work in (eco, float_image(eco)):
+            conv = type(work.total_x)
+            self._check(work)
+            for k, side, scale in steps:
+                pool = work.pools[k % len(work.pools)]
+                size = (pool.x if side == SIDE_X else pool.y) * conv(scale)
+                work, _ = apply_swap(work, SwapOrder(pool.pool_id, side, size), Algorithm.GMM)
+                self._check(work)
 
 
 class TestPoolValue:

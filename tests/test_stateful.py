@@ -1,5 +1,6 @@
 """A stateful twin: one exact ecosystem and its float image, driven through
-the same swaps, rebalancing quotes and bare rebalancing.
+the same swaps, drains (toy part 5's four-swap pattern), rebalancing quotes
+and bare rebalancing.
 
 After every step the carried totals equal fresh sums, and the float image
 stays within 1e-9 relative of the exact one (the README numerics contract,
@@ -86,19 +87,22 @@ class ExactFloatTwin(RuleBasedStateMachine):
         idx = pool % len(self.exact.pools)
         return idx, self.exact.pools[idx]
 
-    @rule(alg=st.sampled_from(Algorithm), side=st.sampled_from((SIDE_X, SIDE_Y)),
-          pool=POOL, k=st.integers(1, 64))
-    def swap(self, alg, side, pool, k):
+    def _sized(self, pool: int, side: str, k: int):
+        """The id of the drawn pool and ``k/32`` of the reserve ``side`` sends."""
         _, target = self._target(pool)
-        amount = (target.x if side == SIDE_X else target.y) * F(k, 32)
-        exact_order = SwapOrder(target.pool_id, side, amount)
-        float_order = SwapOrder(target.pool_id, side, float(amount))
+        return target.pool_id, (target.x if side == SIDE_X else target.y) * F(k, 32)
+
+    def _swap(self, alg, side, pool_id, amount):
+        """Swap ``amount`` on both twins; the exact output, or None when the
+        exact swap (and so the float one) would drain the pool."""
+        exact_order = SwapOrder(pool_id, side, amount)
+        float_order = SwapOrder(pool_id, side, float(amount))
         try:
             exact, exact_out = apply_swap(self.exact, exact_order, alg)
         except ReserveDepletionError:
             with pytest.raises(ReserveDepletionError):
                 apply_swap(self.float, float_order, alg)
-            return
+            return None
         self.float, float_out = apply_swap(self.float, float_order, alg)
         assert _close(float_out, exact_out)
         if alg is not Algorithm.CPMM:
@@ -106,6 +110,39 @@ class ExactFloatTwin(RuleBasedStateMachine):
         self.exact = exact
         if alg is not Algorithm.GMM:
             self.baseline = exact
+        return exact_out
+
+    @rule(alg=st.sampled_from(Algorithm), side=st.sampled_from((SIDE_X, SIDE_Y)),
+          pool=POOL, k=st.integers(1, 64))
+    def swap(self, alg, side, pool, k):
+        self._swap(alg, side, *self._sized(pool, side, k))
+
+    @rule(alg=st.sampled_from((Algorithm.GMM, Algorithm.NGMM)),
+          side=st.sampled_from((SIDE_X, SIDE_Y)),
+          first=POOL, second=POOL, k1=st.integers(1, 64), k2=st.integers(1, 64))
+    def drain(self, alg, side, first, second, k1, k2):
+        """Toy part 5's drain: two same-direction swaps, then each one's
+        proceeds sent back to the pool that paid them.  It drains pools
+        under the naive global rule, which the global rule must prevent.
+
+        Exact denominators compound with every swap priced on the totals,
+        so both twins first restart from the float image, read back
+        exactly, and a new run of global-rule swaps starts there.
+        """
+        self.exact = Ecosystem(tuple(PoolState(p.pool_id, F(p.x), F(p.y))
+                                     for p in _float_image(self.exact).pools))
+        self.float, self.baseline = _float_image(self.exact), self.exact
+        legs = []
+        for pool, k in ((first, k1), (second, k2)):
+            pool_id, amount = self._sized(pool, side, k)
+            out = self._swap(alg, side, pool_id, amount)
+            if out is None:
+                return
+            legs.append((pool_id, out))
+        back = SIDE_Y if side == SIDE_X else SIDE_X
+        for pool_id, out in legs:
+            if self._swap(alg, back, pool_id, out) is None:
+                return
 
     @rule(side=st.sampled_from((SIDE_X, SIDE_Y)), pool=POOL, k=st.integers(1, 64))
     def quote(self, side, pool, k):
