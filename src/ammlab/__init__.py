@@ -48,12 +48,10 @@ from .adversary import (
     simulate_sandwich,
 )
 from .analytics import (
-    ILReport,
     SurplusReport,
     il_cpmm,
     il_from_trajectory,
     il_gmm_small_pool,
-    il_report,
     trader_surplus_comparison,
     volatility_class,
 )

@@ -27,7 +27,7 @@ from .core import (
     SwapOrder,
     apply_swap,
 )
-from .numeric import Num, is_exact, sqrt_any, sqrt_bounds
+from .numeric import Num, sqrt_any, sqrt_bounds
 
 
 def _other(side: str) -> str:
@@ -64,8 +64,6 @@ class ArbitrageCycle:
 
     legs: Tuple[SwapOrder, ...]
     leg_outputs: Tuple[Num, ...]
-    net_x: Num
-    net_y: Num
     start_side: str
     profit: Num  # in units of the start asset; the other asset nets to zero
     value_y: Num  # profit valued in Y at the initial global ratio
@@ -77,7 +75,6 @@ class ExploitReport:
 
     deltas: Tuple[Tuple[str, Num, Num], ...]
     exploited: Tuple[str, ...]  # pools weakly down in both assets, one strictly
-    final: Ecosystem
 
 
 def simulate_sandwich(eco: Ecosystem, spec: SandwichSpec, alg: Algorithm) -> SandwichReport:
@@ -89,19 +86,13 @@ def simulate_sandwich(eco: Ecosystem, spec: SandwichSpec, alg: Algorithm) -> San
     trajectory = [eco]
     front_out: Num = 0
     if spec.attack_dx > 0:
-        eco, front_out = apply_swap(
-            eco, SwapOrder(spec.pool_id, SIDE_X, spec.attack_dx, "attacker"), alg
-        )
+        eco, front_out = apply_swap(eco, SwapOrder(spec.pool_id, SIDE_X, spec.attack_dx), alg)
     trajectory.append(eco)
-    eco, victim_out = apply_swap(
-        eco, SwapOrder(spec.pool_id, SIDE_X, spec.victim_dx, "trader"), alg
-    )
+    eco, victim_out = apply_swap(eco, SwapOrder(spec.pool_id, SIDE_X, spec.victim_dx), alg)
     trajectory.append(eco)
     back_out: Num = 0
     if spec.attack_dx > 0:
-        eco, back_out = apply_swap(
-            eco, SwapOrder(spec.pool_id, SIDE_Y, front_out, "attacker"), alg
-        )
+        eco, back_out = apply_swap(eco, SwapOrder(spec.pool_id, SIDE_Y, front_out), alg)
     trajectory.append(eco)
     return SandwichReport(
         attacker_profit=back_out - spec.attack_dx,
@@ -273,7 +264,7 @@ def _two_leg_candidates(eco: Ecosystem,
             view = (a.y, a.x, eco.total_y, eco.total_x, b.x, b.y)
         reserve = view[0]
         scale = 1
-        if is_exact(reserve):
+        if not isinstance(reserve, float):
             view = tuple(map(Fraction, view))
             scale = math.lcm(*(q.denominator for q in view))
             view = tuple(q.numerator * (scale // q.denominator) for q in view)
@@ -319,15 +310,13 @@ def best_two_pool_arbitrage(eco: Ecosystem, alg: Algorithm) -> ArbitrageCycle:
     if len(eco.pools) != 2:
         raise DomainError("two-pool search needs exactly two pools")
     _, (side, first, second, amount) = _best_two_leg(eco, alg)
-    opening = SwapOrder(eco.pools[first].pool_id, side, amount, "arbitrageur")
+    opening = SwapOrder(eco.pools[first].pool_id, side, amount)
     work, mid = apply_swap(eco, opening, alg)
-    closing = SwapOrder(eco.pools[second].pool_id, _other(side), mid, "arbitrageur")
+    closing = SwapOrder(eco.pools[second].pool_id, _other(side), mid)
     _, back = apply_swap(work, closing, alg)
     profit = back - amount
-    legs = (opening, closing)
-    net_x, net_y = (profit, 0) if side == SIDE_X else (0, profit)
     value_y = profit * eco.ratio if side == SIDE_X else profit
-    return ArbitrageCycle(legs, (mid, profit + amount), net_x, net_y, side, profit, value_y)
+    return ArbitrageCycle((opening, closing), (mid, profit + amount), side, profit, value_y)
 
 
 #: One leg of a closed cycle: side sent, pool index, and the fraction k/den
@@ -414,15 +403,11 @@ def _cycle_value(eco: Ecosystem, alg: Algorithm, legs: Iterator[_Leg]) -> Option
     hold = {SIDE_X: 0, SIDE_Y: 0}
     work = eco
     try:
-        work, out = apply_swap(
-            work, SwapOrder(pool.pool_id, side, opening, "arbitrageur"), alg
-        )
+        work, out = apply_swap(work, SwapOrder(pool.pool_id, side, opening), alg)
         hold[_other(side)] = out
         for send, i, k, den in legs:
             amt = hold[send] * k / den
-            work, out = apply_swap(
-                work, SwapOrder(eco.pools[i].pool_id, send, amt, "arbitrageur"), alg
-            )
+            work, out = apply_swap(work, SwapOrder(eco.pools[i].pool_id, send, amt), alg)
             hold[send] -= amt
             hold[_other(send)] += out
     except ReserveDepletionError:
@@ -449,25 +434,16 @@ _OUT_FLOOR = 2.0 ** -400
 _DRAINS = "drains"
 
 
-class _Shadow:
-    """Float image of an exact ecosystem, the start state of every
-    screening pass: reserves by side (0 = X, 1 = Y), totals and global
-    ratio."""
-
-    __slots__ = ("reserves", "totals", "ratio")
-
-    def __init__(self, reserves: Tuple[Tuple[float, ...], Tuple[float, ...]],
-                 totals: Tuple[float, float], ratio: float):
-        self.reserves = reserves
-        self.totals = totals
-        self.ratio = ratio
+#: Float image of an exact ecosystem, the start state of every screening
+#: pass: ``((xs, ys), (total_x, total_y), global ratio)``.
+_Shadow = Tuple[Tuple[Tuple[float, ...], Tuple[float, ...]], Tuple[float, float], float]
 
 
 def _shadow(eco: Ecosystem) -> Optional[_Shadow]:
     """The float image of an exact ``eco``, or None: for a float ecosystem
     (it needs no screen), and when a reserve is outside the range the error
     bound assumes (its cycles then all run exactly)."""
-    if not is_exact(eco.pools[0].x):
+    if isinstance(eco.pools[0].x, float):
         return None
     try:
         xs = tuple(float(p.x) for p in eco.pools)
@@ -478,8 +454,7 @@ def _shadow(eco: Ecosystem) -> Optional[_Shadow]:
     lo, hi = _RESERVE_RANGE
     if not all(lo <= v <= hi for v in xs + ys):
         return None
-    totals = (float(eco.total_x), float(eco.total_y))
-    return _Shadow((xs, ys), totals, ratio)
+    return (xs, ys), (float(eco.total_x), float(eco.total_y)), ratio
 
 
 def _screen_cycle(shadow: _Shadow, alg: Algorithm, legs: Iterator[_Leg],
@@ -502,8 +477,9 @@ def _screen_cycle(shadow: _Shadow, alg: Algorithm, legs: Iterator[_Leg],
     product's other reserve is back where it started, and with it the start
     asset's.
     """
-    res = [list(shadow.reserves[0]), list(shadow.reserves[1])]
-    tot = list(shadow.totals)
+    (xs, ys), totals, ratio = shadow
+    res = [list(xs), list(ys)]
+    tot = list(totals)
     if alg is Algorithm.GMM and len(res[0]) == 1:
         alg = Algorithm.CPMM  # a lone pool is divergent: the global rule prices it locally
     local_only = alg is Algorithm.CPMM
@@ -597,8 +573,8 @@ def _screen_cycle(shadow: _Shadow, alg: Algorithm, legs: Iterator[_Leg],
     profit = hold[side] - opening
     err = bound * hold[side] + 2 * _EPS * opening + _EPS * abs(profit)
     if side == 0:
-        value = profit * shadow.ratio
-        err = (err + 2 * _EPS * abs(profit)) * shadow.ratio
+        value = profit * ratio
+        err = (err + 2 * _EPS * abs(profit)) * ratio
     else:
         value = profit
     return value, 2 * err + 4 * _EPS * abs(value)
@@ -698,13 +674,13 @@ def replay_exploit_sequence(
         deltas.append((before.pool_id, dx, dy))
         if dx <= 0 and dy <= 0 and (dx < 0 or dy < 0):
             exploited.append(before.pool_id)
-    return ExploitReport(tuple(deltas), tuple(exploited), work)
+    return ExploitReport(tuple(deltas), tuple(exploited))
 
 
 def _common_ratio(eco: Ecosystem) -> Num:
     first = eco.pools[0]
     for pool in eco.pools[1:]:
-        if is_exact(pool.x) and is_exact(first.x):
+        if not (isinstance(pool.x, float) or isinstance(first.x, float)):
             same = pool.y * first.x == first.y * pool.x
         else:
             same = abs(float(pool.ratio) - float(first.ratio)) <= 1e-9 * float(first.ratio)
@@ -735,12 +711,12 @@ def insider_optimal_trades(eco: Ecosystem, r_new: Num) -> List[SwapOrder]:
         return []
     if r_new > r_init:
         flipped = insider_optimal_trades(eco.relabeled(), 1 / r_new)
-        return [SwapOrder(o.pool_id, SIDE_Y, o.amount_in, o.sender_tag) for o in flipped]
+        return [SwapOrder(o.pool_id, SIDE_Y, o.amount_in) for o in flipped]
 
     large_idx = max(range(len(eco.pools)), key=lambda k: (eco.pools[k].x, -k))
     large = eco.pools[large_idx]
     growth = sqrt_any(r_init / r_new)  # > 1
-    first = SwapOrder(large.pool_id, SIDE_X, large.x * (growth - 1), "insider")
+    first = SwapOrder(large.pool_id, SIDE_X, large.x * (growth - 1))
     if len(eco.pools) == 1:
         return [first]
 
@@ -748,7 +724,7 @@ def insider_optimal_trades(eco: Ecosystem, r_new: Num) -> List[SwapOrder]:
     small = eco.pools[1 - large_idx]
     total_x, total_y = after_first.total_x, after_first.total_y
     amount = sqrt_any(total_x * total_y / r_new) - total_x
-    return [first, SwapOrder(small.pool_id, SIDE_X, amount, "insider")]
+    return [first, SwapOrder(small.pool_id, SIDE_X, amount)]
 
 
 def insider_final_small_reserve(x_small: Num, x_large: Num, r_init: Num, r_new: Num) -> Num:

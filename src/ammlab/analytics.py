@@ -22,20 +22,6 @@ VOL_LOW = "low"
 VOL_HIGH = "high"
 
 
-@dataclass(frozen=True)
-class ILReport:
-    """Side-by-side loss comparison for one price move, with the measured
-    trajectory values of the pool it describes."""
-
-    r_init: Num
-    r_final: Num
-    alpha: Num
-    il_cpmm: Num
-    il_gmm_small_pool: Num
-    final_value: Num  # pool value at the final price
-    hold_value: Num  # value of the initial holdings at the final price
-
-
 def il_cpmm(r_init: Num, r_final: Num) -> Num:
     """Impermanent loss of a constant-product pool for a price move
     ``r_init -> r_final``: ``1 - 2 / (sqrt(g) + 1/sqrt(g))`` with
@@ -78,20 +64,6 @@ def il_from_trajectory(initial: PoolState, final: PoolState, price_final: Num) -
     """Measured impermanent loss: one minus final over hold value, both at
     the final price."""
     return 1 - pool_value(final, price_final) / pool_value(initial, price_final)
-
-
-def il_report(r_init: Num, r_final: Num, alpha: Num,
-              initial: PoolState, final: PoolState) -> ILReport:
-    """Bundle both closed-form losses with a measured trajectory's values."""
-    return ILReport(
-        r_init=r_init,
-        r_final=r_final,
-        alpha=alpha,
-        il_cpmm=il_cpmm(r_init, r_final),
-        il_gmm_small_pool=il_gmm_small_pool(r_init, r_final, alpha),
-        final_value=pool_value(final, r_final),
-        hold_value=pool_value(initial, r_final),
-    )
 
 
 def volatility_class(price_first: Num, price_last: Num, lam: Num) -> str:

@@ -14,7 +14,6 @@ import argparse
 import csv
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -45,11 +44,6 @@ from .replay import (
 
 #: Most points one sweep range may hold; the figure script's largest is 256.
 MAX_SWEEP_POINTS = 100_000
-
-
-def _quiet() -> bool:
-    # AMMLAB_QUIET=1 drops informational lines; machine output is unaffected
-    return os.environ.get("AMMLAB_QUIET", "") not in ("", "0")
 
 
 def _parse_pools(text: str) -> Ecosystem:
@@ -104,10 +98,9 @@ def cmd_quote(args) -> int:
         work = eco if order.side == SIDE_X else eco.relabeled()
         if amount > 0:
             _, quote, transfers = gmm_rebal_transfers(amount, work, pool_id, args.force_trigger)
-            if not _quiet():
-                for t in transfers:
-                    print(f"transfer: {t.from_pool} -> {t.to_pool} "
-                          f"amount={float(t.amount_x):.2f} received={float(t.amount_y_received):.2f}")
+            for t in transfers:
+                print(f"transfer: {t.from_pool} -> {t.to_pool} "
+                      f"amount={float(t.amount_x):.2f} received={float(t.amount_y_received):.2f}")
         else:
             quote = quote_order(work, SwapOrder(pool_id, SIDE_X, 0), Algorithm.GMM)
     else:
@@ -156,20 +149,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_toy(args) -> int:
-    alg = Algorithm.parse(args.algorithm) if args.algorithm else None
+    alg = None if args.algorithm is None else Algorithm.parse(args.algorithm)
     checks = toy.run_part(args.part, alg)
     width = max(len(c.name) for c in checks)
     failed = [c for c in checks if not c.ok]
     for c in checks:
         status = "PASS" if c.ok else "FAIL"
-        if c.ok and _quiet():
-            continue
         print(f"{status}  {c.name.ljust(width)}  expected={c.expected} actual={c.actual}")
     if failed:
         print(f"error: {len(failed)} of {len(checks)} checks failed", file=sys.stderr)
         return 1
-    if not _quiet():
-        print(f"all {len(checks)} checks passed")
+    print(f"all {len(checks)} checks passed")
     return 0
 
 
@@ -208,7 +198,10 @@ def cmd_replay(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    over ten times what parsing one command line does."""
     parser = argparse.ArgumentParser(
         prog="ammlab",
         description="Deterministic simulation and analytics for pooled-liquidity market makers.",
@@ -246,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     toy_p = sub.add_parser("toy", help="run a scripted golden scenario")
     toy_p.add_argument("--part", type=int, required=True, choices=sorted(toy.PARTS))
     toy_p.add_argument("--algorithm", default=None,
-                       help="override the scenario's algorithm (part 5)")
+                       help="override the scenario's algorithm (part 5 only)")
     toy_p.set_defaults(func=cmd_toy)
 
     replay = sub.add_parser("replay", help="counterfactual repricing of a logged attack CSV")
@@ -261,16 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built once per process: building it costs
-    over ten times what parsing one command line does."""
-    return build_parser()
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
     try:

@@ -11,8 +11,9 @@ implemented over a shared ecosystem of pools:
 
 All operations are pure: ecosystems are immutable values and every state
 transition returns a new one.  Quantities can be ``fractions.Fraction``
-(exact, the reference semantics for invariant tests) or ``float`` (fast
-path); each function preserves whichever flavor it is given.
+(exact, the reference semantics for invariant tests; an ``int`` reserve is
+held as one) or ``float`` (fast path); each function preserves whichever
+flavor it is given.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Tuple, Union
 
 Num = Union[int, float, Fraction]
 
@@ -79,6 +80,12 @@ class PoolState:
     def __post_init__(self):
         if not (self.x > 0 and self.y > 0):
             raise _nonpositive(self.pool_id, self.x, self.y)
+        # an int reserve is exact: held as a Fraction, so that no division
+        # of an int by an int turns a swap of it into a float
+        if isinstance(self.x, int):
+            object.__setattr__(self, "x", Fraction(self.x))
+        if isinstance(self.y, int):
+            object.__setattr__(self, "y", Fraction(self.y))
 
     @classmethod
     def _unchecked(cls, pool_id: str, x: Num, y: Num) -> "PoolState":
@@ -139,13 +146,9 @@ class Ecosystem:
         return new
 
     @classmethod
-    def from_reserves(
-        cls, pairs: Iterable[Tuple[Num, Num]], ids: Optional[Sequence[str]] = None
-    ) -> "Ecosystem":
-        pairs = list(pairs)
-        if ids is None:
-            ids = [f"amm{i + 1}" for i in range(len(pairs))]
-        return cls(tuple(PoolState(pid, x, y) for pid, (x, y) in zip(ids, pairs)))
+    def from_reserves(cls, pairs: Iterable[Tuple[Num, Num]]) -> "Ecosystem":
+        """Pools ``amm1``, ``amm2``, ... holding ``pairs`` in order."""
+        return cls(tuple(PoolState(f"amm{i + 1}", x, y) for i, (x, y) in enumerate(pairs)))
 
     def index_of(self, pool_id: str) -> int:
         idx = self._index.get(pool_id)
@@ -201,7 +204,6 @@ class SwapOrder:
     pool_id: str
     side: str
     amount_in: Num
-    sender_tag: str = "trader"
 
     def __post_init__(self):
         if self.side not in (SIDE_X, SIDE_Y):
@@ -223,13 +225,16 @@ class Quote:
 def cpmm_out(dx: Num, x_i: Num, y_i: Num) -> Num:
     """Output of a constant-product swap sending ``dx`` against reserves ``(x_i, y_i)``.
 
-    Exactly preserves ``x_i * y_i`` on the rational path; the result is
-    always strictly below ``y_i``.
+    Exactly preserves ``x_i * y_i`` on the rational path, where an ``int``
+    reserve is held as a ``Fraction``; the result is always strictly below
+    ``y_i``.
     """
     if not (x_i > 0 and y_i > 0):
         raise DomainError("reserves must be strictly positive")
     if dx < 0:
         raise DomainError("swap amount must be nonnegative")
+    if isinstance(y_i, int):  # int * int / int would be a float
+        y_i = Fraction(y_i)
     return _out(dx, x_i, y_i, x_i, y_i, _CPMM)  # a lone pool: its reserves are the totals
 
 

@@ -18,11 +18,6 @@ from typing import Tuple, Union
 Num = Union[int, float, Fraction]
 
 
-def is_exact(value: Num) -> bool:
-    """True for the exact (int/Fraction) arithmetic path."""
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
-
-
 def sqrt_bounds(value, bits: int = 128) -> Tuple[Fraction, Fraction]:
     """Rational enclosure ``lo <= sqrt(value) <= hi`` with ``hi - lo <= lo * 2**-bits``-ish.
 
@@ -45,15 +40,15 @@ def sqrt_bounds(value, bits: int = 128) -> Tuple[Fraction, Fraction]:
     return Fraction(root, denom), Fraction(root + 1, denom)
 
 
-def sqrt_any(value: Num, bits: int = 96):
+def sqrt_any(value: Num):
     """Square root preserving the caller's arithmetic flavor.
 
     Floats go through ``math.sqrt``; exact inputs get a Fraction that is
-    exact for perfect squares and within ``2**-bits`` relative otherwise.
+    exact for perfect squares and within ``2**-96`` relative otherwise.
     """
     if isinstance(value, float):
         return math.sqrt(value)
-    lo, hi = sqrt_bounds(value, bits=bits)
+    lo, hi = sqrt_bounds(value, bits=96)
     if lo == hi:
         return lo
     return (lo + hi) / 2

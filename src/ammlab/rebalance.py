@@ -22,7 +22,7 @@ from .core import (
     cpmm_out,
     gmm_out,
 )
-from .numeric import Num, is_exact, sqrt_any
+from .numeric import Num, sqrt_any
 
 #: Relative tolerance closing the rebalancing loop on the float path; the
 #: exact path terminates on equality after at most ``len(pools) - 1`` moves.
@@ -113,8 +113,8 @@ def inter_pool_quote(dx: Num, to_pool: str, eco: Ecosystem) -> Num:
 
 def _ratio_strictly_below(num_ratio: Num, target: Num) -> bool:
     if not (isinstance(num_ratio, float) and isinstance(target, float)):
-        if is_exact(num_ratio) and is_exact(target):
-            return num_ratio < target
+        if not (isinstance(num_ratio, float) or isinstance(target, float)):
+            return num_ratio < target  # both exact
         num_ratio, target = float(num_ratio), float(target)
     gap = target - num_ratio
     return gap > FLOAT_RATIO_TOL * max(abs(num_ratio), abs(target), 1e-300)

@@ -499,14 +499,13 @@ def il_portfolio_report(
     records: Sequence[ReplayRecord],
     alphas: Sequence[Num],
     lam: Num,
-    price_epsilon: Num = 0,
 ) -> ILScenarioReport:
     """Per-pair impermanent-loss comparison from first to last traded price.
 
     Pairs with fewer than two trades, or without two usable USD price
-    observations (present and above ``price_epsilon``), are dropped and
-    counted by reason.  Dollar losses weight the loss fraction by the pair's
-    hold value: first-seen reserves at last-seen prices.
+    observations (present and positive), are dropped and counted by reason.
+    Dollar losses weight the loss fraction by the pair's hold value:
+    first-seen reserves at last-seen prices.
     """
     by_pair: Dict[str, List[ReplayRecord]] = {}
     for rec in records:
@@ -523,7 +522,7 @@ def il_portfolio_report(
         priced = [
             r for r in recs
             if r.price_usd_x is not None and r.price_usd_y is not None
-            and r.price_usd_x > price_epsilon and r.price_usd_y > price_epsilon
+            and r.price_usd_x > 0 and r.price_usd_y > 0
         ]
         if len(priced) < 2:
             excluded["missing_prices"] += 1
@@ -612,8 +611,9 @@ def records_to_csv(records: Sequence[ReplayRecord]) -> str:
     return out.getvalue()
 
 
-def _round_to_grid(value: Fraction, places: int = 12) -> Fraction:
-    return Fraction(_scaled_round(value.numerator, value.denominator, places), 10**places)
+def _round_to_grid(value: Fraction) -> Fraction:
+    """``value`` rounded to the 12-decimal grid of the synthetic logs."""
+    return Fraction(_scaled_round(value.numerator, value.denominator, 12), 10**12)
 
 
 def synthetic_attack_records(seed: int, n_attacks: int = 100) -> List[ReplayRecord]:

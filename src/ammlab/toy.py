@@ -26,6 +26,7 @@ from .core import (
     BRANCH_NGMM,
     CONVERGENT,
     DIVERGENT,
+    DomainError,
     Ecosystem,
     SIDE_X,
     SIDE_Y,
@@ -64,7 +65,7 @@ def _twin_pools(x=100, y=400_000) -> Ecosystem:
     return Ecosystem.from_reserves([(Fraction(x), Fraction(y))] * 2)
 
 
-def part1(_: Optional[Algorithm] = None) -> List[Check]:
+def part1() -> List[Check]:
     """Arbitrage between two local-pricing pools; reserves restore exactly."""
     eco = _twin_pools()
     # trader buys exactly 10 ETH from amm1 (sends Y)
@@ -91,7 +92,7 @@ def part1(_: Optional[Algorithm] = None) -> List[Check]:
     return checks
 
 
-def part2(_: Optional[Algorithm] = None) -> List[Check]:
+def part2() -> List[Check]:
     """Sandwich against a single local-pricing pool (sent asset is UST)."""
     eco = Ecosystem.from_reserves([(Fraction(400_000), Fraction(100))])
     spec = SandwichSpec("amm1", victim_dx=Fraction(40_000), attack_dx=Fraction(60_000))
@@ -109,7 +110,7 @@ def part2(_: Optional[Algorithm] = None) -> List[Check]:
     return checks
 
 
-def part3(_: Optional[Algorithm] = None) -> List[Check]:
+def part3() -> List[Check]:
     """Repricing a single pool from 4000 to 3000 and the resulting loss."""
     eco = Ecosystem.from_reserves([(Fraction(100), Fraction(400_000))])
     orders = insider_optimal_trades(eco, Fraction(3_000))
@@ -125,7 +126,7 @@ def part3(_: Optional[Algorithm] = None) -> List[Check]:
     return checks
 
 
-def part4(_: Optional[Algorithm] = None) -> List[Check]:
+def part4() -> List[Check]:
     """Naive-global pricing: better terms, no arbitrage on the skewed pair."""
     eco = Ecosystem.from_reserves([(Fraction(90), Fraction(444_444)), (Fraction(100), Fraction(400_000))])
     out = apply_swap(eco, SwapOrder("amm1", SIDE_X, Fraction(10)), Algorithm.NGMM)[1]
@@ -173,7 +174,7 @@ def part5(algorithm: Optional[Algorithm] = None) -> List[Check]:
     ]
 
 
-def part6(_: Optional[Algorithm] = None) -> List[Check]:
+def part6() -> List[Check]:
     """Global rule: divergent order priced locally, zero-profit arbitrage,
     convergent order splits the old arbitrage gain."""
     eco = _twin_pools()
@@ -207,7 +208,7 @@ def part6(_: Optional[Algorithm] = None) -> List[Check]:
     return checks
 
 
-def part7(_: Optional[Algorithm] = None) -> List[Check]:
+def part7() -> List[Check]:
     """Sandwich under the global rule, and the rebalancing variant's quote."""
     eco = Ecosystem.from_reserves([(Fraction(400_000), Fraction(100))] * 2)
     spec = SandwichSpec("amm1", victim_dx=Fraction(40_000), attack_dx=Fraction(60_000))
@@ -237,7 +238,7 @@ def part7(_: Optional[Algorithm] = None) -> List[Check]:
     return checks
 
 
-def part8(_: Optional[Algorithm] = None) -> List[Check]:
+def part8() -> List[Check]:
     """Two-pool insider benchmark at alpha one-half: the larger pool bears the
     local-rule loss, the other strictly less."""
     eco = _twin_pools()
@@ -262,12 +263,19 @@ def part8(_: Optional[Algorithm] = None) -> List[Check]:
     return checks
 
 
-PARTS: Dict[int, Callable[[Optional[Algorithm]], List[Check]]] = {
+#: Each part runs with no argument; part 5 alone also takes an algorithm.
+PARTS: Dict[int, Callable[..., List[Check]]] = {
     1: part1, 2: part2, 3: part3, 4: part4, 5: part5, 6: part6, 7: part7, 8: part8,
 }
 
 
 def run_part(number: int, algorithm: Optional[Algorithm] = None) -> List[Check]:
+    """The checks of part ``number``; ``algorithm`` overrides part 5's rule
+    and is a :class:`DomainError` for any other part."""
     if number not in PARTS:
         raise KeyError(f"no scripted part {number}")
+    if algorithm is None:
+        return PARTS[number]()
+    if number != 5:
+        raise DomainError(f"only part 5 takes an algorithm, not part {number}")
     return PARTS[number](algorithm)

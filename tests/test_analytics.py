@@ -11,7 +11,6 @@ from ammlab.analytics import (
     il_cpmm,
     il_from_trajectory,
     il_gmm_small_pool,
-    il_report,
     trader_surplus_comparison,
     volatility_class,
 )
@@ -209,14 +208,14 @@ class TestIlReport:
         work = eco
         for order in insider_optimal_trades(eco, r_new):
             work, _ = apply_swap(work, order, Algorithm.GMM)
-        bundle = il_report(F(4000), r_new, F(1, 4), eco.pools[1], work.pools[1])
-        assert bundle.il_gmm_small_pool < bundle.il_cpmm < 1
-        measured = 1 - bundle.final_value / bundle.hold_value
-        assert abs(float(measured) - float(bundle.il_gmm_small_pool)) < 1e-9
+        small = il_gmm_small_pool(F(4000), r_new, F(1, 4))
+        assert small < il_cpmm(F(4000), r_new) < 1
+        measured = 1 - pool_value(work.pools[1], r_new) / pool_value(eco.pools[1], r_new)
+        assert measured == il_from_trajectory(eco.pools[1], work.pools[1], r_new)
+        assert abs(float(measured) - float(small)) < 1e-9
 
     def test_flat_price_reports_zero(self):
         pool = benchmark_eco(F(1, 2)).pools[1]
-        bundle = il_report(F(4000), F(4000), F(1, 2), pool, pool)
-        assert bundle.il_cpmm == 0
-        assert bundle.il_gmm_small_pool == 0
-        assert bundle.final_value == bundle.hold_value
+        assert il_cpmm(F(4000), F(4000)) == 0
+        assert il_gmm_small_pool(F(4000), F(4000), F(1, 2)) == 0
+        assert il_from_trajectory(pool, pool, F(4000)) == 0

@@ -193,12 +193,18 @@ class TestToy:
 
     def test_failing_part_exits_one(self, capsys, monkeypatch):
         monkeypatch.setitem(
-            toy.PARTS, 1, lambda alg: [toy.approx("broken on purpose", 1.0, 2.0)]
+            toy.PARTS, 1, lambda: [toy.approx("broken on purpose", 1.0, 2.0)]
         )
         rc, out, err = run(capsys, ["toy", "--part", "1"])
         assert rc == 1
         assert "FAIL" in out
         assert "1 of 1" in err
+
+    def test_algorithm_outside_part5_is_domain_error(self, capsys):
+        rc, out, err = run(capsys, ["toy", "--part", "1", "--algorithm", "ngmm"])
+        assert rc == 1
+        assert out == ""
+        assert err == "error: only part 5 takes an algorithm, not part 1\n"
 
     def test_rebalancing_is_not_a_part_algorithm(self, capsys):
         rc, out, err = run(capsys, ["toy", "--part", "5", "--algorithm", "gmm-rebal"])

@@ -64,6 +64,11 @@ class TestCpmmOut:
     def test_zero_order(self):
         assert cpmm_out(F(0), F(400_000), F(100)) == 0
 
+    def test_int_reserves_pay_a_fraction(self):
+        out = cpmm_out(10, 100, 400_000)
+        assert type(out) is F
+        assert out == F(400_000, 11)
+
     def test_toy_sandwich_frontrun(self):
         out = cpmm_out(F(60_000), F(400_000), F(100))
         assert out == F(300, 23)
@@ -186,6 +191,14 @@ class TestApplySwap:
         assert eco.pools[0].y == F(4_000_000, 9)
         assert eco.pools[1] == twin_eco().pools[1]
 
+    def test_int_reserves_swap_exactly(self):
+        eco = Ecosystem.from_reserves([(100, 400_000), (100, 400_000)])
+        assert {type(v) for p in eco.pools for v in (p.x, p.y)} == {F}
+        work, out = apply_swap(eco, SwapOrder("amm1", SIDE_X, 10), Algorithm.GMM)
+        assert type(out) is F
+        assert out == F(400_000, 11)
+        assert work.pools[0] == PoolState("amm1", F(110), F(4_000_000, 11))
+
     def test_zero_order_no_change(self):
         eco = twin_eco()
         eco2, out = apply_swap(eco, SwapOrder("amm1", SIDE_X, F(0)), Algorithm.GMM)
@@ -286,9 +299,9 @@ class TestApplySwap:
     )
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_int_and_fraction_pools_carry_exact_totals(self, pairs, steps):
-        # even pools hold ints, odd ones Fractions; a swap makes its pool a
-        # Fraction one, and the carried totals must equal fresh sums in value
-        # and type
+        # even pools are given ints, odd ones Fractions; every pool holds
+        # Fractions, and the carried totals must equal fresh sums in value and
+        # type
         work = Ecosystem.from_reserves(
             [(x, y) if i % 2 == 0 else (F(x), F(y)) for i, (x, y) in enumerate(pairs)]
         )

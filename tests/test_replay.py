@@ -320,10 +320,8 @@ class TestIlPortfolio:
         assert report.excluded == {"too_few_trades": 1, "missing_prices": 1}
 
     def test_near_zero_prices_dropped(self):
-        rows = self.pair_rows("PAIR-A", 100, "0.0000000001", "0.0000000002")
-        report = il_portfolio_report(
-            parse_log(log_text(rows).encode()), [F(1, 2)], F(10), price_epsilon=F(1, 10**6)
-        )
+        rows = self.pair_rows("PAIR-A", 100, "0", "0.0000000002")
+        report = il_portfolio_report(parse_log(log_text(rows).encode()), [F(1, 2)], F(10))
         assert report.excluded["missing_prices"] == 1
 
 

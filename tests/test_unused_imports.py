@@ -1,8 +1,9 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every module-level private name of the package is referenced somewhere.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library.  ``__init__.py`` imports only to re-export and
-is skipped.  Names in string annotations count as used.
+is skipped by the import check.  Names in string annotations count as used.
 """
 
 import ast
@@ -10,8 +11,14 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ammlab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ammlab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+#: Where a private name of the package may be referenced: the package, its
+#: tests, the scripts and the benchmark harness.
+SOURCES = sorted(
+    p for d in ("src", "tests", "scripts", "ammbench") for p in (ROOT / d).rglob("*.py")
+)
 
 
 def _imported(tree):
@@ -58,3 +65,46 @@ def test_no_unused_import(path):
 def test_an_unused_import_is_found():
     tree = ast.parse("from typing import Optional, Tuple\n\ndef f(a: 'Tuple[int]'): pass\n")
     assert set(_imported(tree)) - _used(tree) == {"Optional"}
+
+
+def _private_definitions(tree):
+    """``(name, line)`` of each private, non-dunder name a module defines at
+    its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def _references(tree):
+    """Every name a module reads: loaded names, attributes, imported names,
+    and string constants (``monkeypatch`` targets, tracing sites)."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def test_every_private_name_is_referenced():
+    referenced = set().union(*(_references(ast.parse(p.read_text())) for p in SOURCES))
+    unreferenced = sorted(
+        f"{path.name}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in _private_definitions(ast.parse(path.read_text()))
+        if name not in referenced
+    )
+    assert not unreferenced
