@@ -103,12 +103,22 @@ def simulate_sandwich(eco: Ecosystem, spec: SandwichSpec, alg: Algorithm) -> San
     )
 
 
+#: Number types the closed forms treat as exact: an int is, as in a ``PoolState``
+_EXACT = (int, Fraction)
+
+
+def _exact_ints(*values: Num) -> List[Num]:
+    """``values`` with each int held as a ``Fraction``, so that no division
+    of an int by an int turns a closed form's expression float."""
+    return [Fraction(v) if type(v) is int else v for v in values]
+
+
 def _sandwich_quotient(x_i: Num, x_global: Num, victim_dx: Num,
                        attack_dx: Num) -> Optional[Fraction]:
     """Exact closed-form sandwich profit as one integer quotient, or None
-    unless both reserves are ``Fraction``s and both amounts ints or
-    ``Fraction``s.  Other inputs keep the expressions of the callers, whose
-    divisions of an int by an int give floats.
+    unless every input is an int or a ``Fraction``.  Other inputs (a float
+    among them) keep the expressions of the callers, with ints held as
+    ``Fraction``s.
 
     With ``S = A + V``, the profit of attack ``A`` around victim ``V`` on a
     pool ``x`` in global reserves ``G`` is
@@ -116,8 +126,8 @@ def _sandwich_quotient(x_i: Num, x_global: Num, victim_dx: Num,
     common denominator ``L`` every term is an integer and ``L`` is left
     once in the denominator.
     """
-    if not (type(x_i) is Fraction and type(x_global) is Fraction
-            and type(victim_dx) in (int, Fraction) and type(attack_dx) in (int, Fraction)):
+    if not (type(x_i) in _EXACT and type(x_global) in _EXACT
+            and type(victim_dx) in _EXACT and type(attack_dx) in _EXACT):
         return None
     values = (x_i, x_global, victim_dx, attack_dx)
     den = math.lcm(*(v.denominator for v in values))
@@ -132,13 +142,14 @@ def sandwich_profit_cpmm_closed(x_i: Num, victim_dx: Num, attack_dx: Num) -> Num
     """Closed-form sandwich profit against a lone constant-product pool.
 
     Depends only on the sent-asset reserve; agrees exactly with the three-leg
-    simulation on the rational path.
+    simulation on the rational path, where an int input is exact.
     """
     if not x_i > 0:
         raise DomainError("reserve must be strictly positive")
     exact = _sandwich_quotient(x_i, x_i, victim_dx, attack_dx)
     if exact is not None:
         return exact
+    x_i, victim_dx, attack_dx = _exact_ints(x_i, victim_dx, attack_dx)
     d = victim_dx / x_i
     dh = attack_dx / x_i
     t = 1 + dh + d
@@ -147,7 +158,8 @@ def sandwich_profit_cpmm_closed(x_i: Num, victim_dx: Num, attack_dx: Num) -> Num
 
 def sandwich_profit_gmm_closed(x_i: Num, x_global: Num, victim_dx: Num, attack_dx: Num) -> Num:
     """Closed-form sandwich profit under the global rule, for a pool embedded
-    in equal-ratio global reserves ``x_global >= x_i``."""
+    in equal-ratio global reserves ``x_global >= x_i``; an int input is
+    exact."""
     if not x_i > 0:
         raise DomainError("reserve must be strictly positive")
     if x_global < x_i:
@@ -155,6 +167,7 @@ def sandwich_profit_gmm_closed(x_i: Num, x_global: Num, victim_dx: Num, attack_d
     exact = _sandwich_quotient(x_i, x_global, victim_dx, attack_dx)
     if exact is not None:
         return exact
+    x_i, x_global, victim_dx, attack_dx = _exact_ints(x_i, x_global, victim_dx, attack_dx)
     t_loc = 1 + (attack_dx + victim_dx) / x_i
     t_glob = 1 + (attack_dx + victim_dx) / x_global
     return (t_glob * t_loc / (t_loc * (1 + attack_dx / x_i) - victim_dx / x_global) - 1) * attack_dx
@@ -173,7 +186,8 @@ def sandwich_profit_nsplit(x_global: Num, n: int, victim_dx: Num, attack_dx: Num
     :func:`sandwich_profit_gmm_closed` with ``x_i = x_global / n``."""
     if not (type(n) is int and n >= 1):  # bool is an int subclass, not a count
         raise DomainError("split count must be a positive integer")
-    return sandwich_profit_gmm_closed(x_global / n, x_global, victim_dx, attack_dx)
+    x_i = Fraction(x_global, n) if type(x_global) is int else x_global / n
+    return sandwich_profit_gmm_closed(x_i, x_global, victim_dx, attack_dx)
 
 
 def _two_leg_sizes(alg: Algorithm, x: Num, y: Num, tx: Num, ty: Num,

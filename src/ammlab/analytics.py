@@ -8,6 +8,7 @@ valued in Y units at the final price.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import DomainError, Ecosystem, PoolState, cpmm_out, gmm_out, pool_value
 from .numeric import Num, sqrt_any
@@ -22,16 +23,25 @@ VOL_LOW = "low"
 VOL_HIGH = "high"
 
 
+def _price_move(r_init: Num, r_final: Num) -> Num:
+    """``max(g, 1/g)`` for ``g = r_final / r_init``: both loss measures
+    depend on nothing else.  Two ints give a ``Fraction``, as an int is
+    exact (a ``PoolState`` holds an int reserve as one)."""
+    if not (r_init > 0 and r_final > 0):
+        raise DomainError("prices must be positive")
+    if type(r_init) is int and type(r_final) is int:
+        g = Fraction(r_final, r_init)
+    else:
+        g = r_final / r_init
+    return g if g >= 1 else 1 / g
+
+
 def il_cpmm(r_init: Num, r_final: Num) -> Num:
     """Impermanent loss of a constant-product pool for a price move
     ``r_init -> r_final``: ``1 - 2 / (sqrt(g) + 1/sqrt(g))`` with
     ``g = r_final / r_init``.  Symmetric in its arguments and zero only when
     they coincide."""
-    if not (r_init > 0 and r_final > 0):
-        raise DomainError("prices must be positive")
-    g = r_final / r_init
-    if g < 1:
-        g = 1 / g  # the measure only depends on max(g, 1/g)
+    g = _price_move(r_init, r_final)
     if g == 1:
         return 0
     root = sqrt_any(g)
@@ -45,13 +55,9 @@ def il_gmm_small_pool(r_init: Num, r_final: Num, alpha: Num) -> Num:
     ``(0, 0.5]``.  Zero exactly on a flat price, strictly below the local
     constant-product loss otherwise, and vanishing as ``alpha -> 0``.
     """
-    if not (r_init > 0 and r_final > 0):
-        raise DomainError("prices must be positive")
+    g = _price_move(r_init, r_final)
     if not (alpha > 0 and 2 * alpha <= 1):
         raise DomainError("alpha must lie in (0, 0.5]")
-    g = r_final / r_init
-    if g < 1:
-        g = 1 / g
     if g == 1:
         return 0
     k = (1 - alpha) / alpha

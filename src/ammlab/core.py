@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Dict, Iterable, Tuple, Union
 
 Num = Union[int, float, Fraction]
@@ -68,8 +69,17 @@ class Algorithm(Enum):
 # class is several times slower to look up
 _CPMM, _NGMM, _GMM = Algorithm.CPMM, Algorithm.NGMM, Algorithm.GMM
 
+# Value objects are frozen slotted dataclasses.  Their public constructors
+# validate; each ``_unchecked`` builder skips ``__init__`` and sets every
+# slot through the class's member descriptor, bound once below the class.
+_new = object.__new__
+# Totals are summed only as sum() over these getters, in pool order: since
+# Python 3.12 sum() compensates float rounding, so a loop of additions
+# would give a successor other float totals than a fresh Ecosystem's.
+_x_of, _y_of = attrgetter("x"), attrgetter("y")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class PoolState:
     """Reserves of one pool.  Both sides must stay strictly positive."""
 
@@ -83,15 +93,17 @@ class PoolState:
         # an int reserve is exact: held as a Fraction, so that no division
         # of an int by an int turns a swap of it into a float
         if isinstance(self.x, int):
-            object.__setattr__(self, "x", Fraction(self.x))
+            _set_x(self, Fraction(self.x))
         if isinstance(self.y, int):
-            object.__setattr__(self, "y", Fraction(self.y))
+            _set_y(self, Fraction(self.y))
 
-    @classmethod
-    def _unchecked(cls, pool_id: str, x: Num, y: Num) -> "PoolState":
+    @staticmethod
+    def _unchecked(pool_id: str, x: Num, y: Num) -> "PoolState":
         """A pool whose reserves the caller has already proven positive."""
-        new = object.__new__(cls)
-        new.__dict__.update(pool_id=pool_id, x=x, y=y)
+        new = _new(PoolState)
+        _set_pool_id(new, pool_id)
+        _set_x(new, x)
+        _set_y(new, y)
         return new
 
     @property
@@ -108,11 +120,15 @@ class PoolState:
         return PoolState._unchecked(self.pool_id, self.y, self.x)
 
 
+_set_pool_id, _set_x, _set_y = (PoolState.pool_id.__set__, PoolState.x.__set__,
+                                PoolState.y.__set__)
+
+
 def _nonpositive(pool_id: str, x: Num, y: Num) -> DomainError:
     return DomainError(f"pool {pool_id!r} requires strictly positive reserves, got ({x}, {y})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ecosystem:
     """Ordered collection of pools with unique ids.
 
@@ -132,17 +148,20 @@ class Ecosystem:
         index = {p.pool_id: i for i, p in enumerate(self.pools)}
         if len(index) != len(self.pools):
             raise DomainError(f"duplicate pool ids: {[p.pool_id for p in self.pools]}")
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "total_x", sum(p.x for p in self.pools))
-        object.__setattr__(self, "total_y", sum(p.y for p in self.pools))
+        _set_index(self, index)
+        _set_total_x(self, sum(map(_x_of, self.pools)))
+        _set_total_y(self, sum(map(_y_of, self.pools)))
 
-    @classmethod
-    def _unchecked(cls, pools: Tuple[PoolState, ...], total_x: Num, total_y: Num,
+    @staticmethod
+    def _unchecked(pools: Tuple[PoolState, ...], total_x: Num, total_y: Num,
                    index: Dict[str, int]) -> "Ecosystem":
         """An ecosystem whose totals and index map the caller has already
         proven to be those of ``pools``."""
-        new = object.__new__(cls)
-        new.__dict__.update(pools=pools, total_x=total_x, total_y=total_y, _index=index)
+        new = _new(Ecosystem)
+        _set_pools(new, pools)
+        _set_total_x(new, total_x)
+        _set_total_y(new, total_y)
+        _set_index(new, index)
         return new
 
     @classmethod
@@ -170,8 +189,8 @@ class Ecosystem:
 
         Ids and positions do not change, so the index map is shared and not
         checked again.  Exact totals are carried as ``total + delta``, which
-        equals the re-summed value; float totals are re-summed in pool order,
-        so they stay bit-identical to those of a fresh ``Ecosystem``.
+        equals the re-summed value; float totals are re-summed as a fresh
+        ``Ecosystem`` sums them, so they stay bit-identical to its totals.
         """
         pools = self.pools[:idx] + (pool,) + self.pools[idx + 1:]
         total_x, total_y = self.total_x, self.total_y
@@ -181,10 +200,8 @@ class Ecosystem:
             total_x += dx
             total_y += dy
         else:
-            total_x = total_y = 0  # the start and order of sum()
-            for p in pools:
-                total_x += p.x
-                total_y += p.y
+            total_x = sum(map(_x_of, pools))
+            total_y = sum(map(_y_of, pools))
         return Ecosystem._unchecked(pools, total_x, total_y, self._index)
 
     def relabeled(self) -> "Ecosystem":
@@ -197,7 +214,12 @@ class Ecosystem:
         return Ecosystem._unchecked(pools, self.total_y, self.total_x, self._index)
 
 
-@dataclass(frozen=True)
+_set_pools, _set_total_x, _set_total_y, _set_index = (
+    Ecosystem.pools.__set__, Ecosystem.total_x.__set__, Ecosystem.total_y.__set__,
+    Ecosystem._index.__set__)
+
+
+@dataclass(frozen=True, slots=True)
 class SwapOrder:
     """One order: send ``amount_in`` of ``side`` to ``pool_id``."""
 
@@ -212,7 +234,7 @@ class SwapOrder:
             raise DomainError(f"amount_in must be nonnegative and finite, got {self.amount_in}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quote:
     """Priced swap: output amount, the branch that produced it, and the
     divergent/convergent/overshooting label of the order."""
@@ -220,6 +242,19 @@ class Quote:
     amount_out: Num
     branch: str
     classification: str
+
+    @staticmethod
+    def _unchecked(amount_out: Num, branch: str, classification: str) -> "Quote":
+        """``Quote(amount_out, branch, classification)``, built without ``__init__``."""
+        new = _new(Quote)
+        _set_amount_out(new, amount_out)
+        _set_branch(new, branch)
+        _set_classification(new, classification)
+        return new
+
+
+_set_amount_out, _set_branch, _set_classification = (
+    Quote.amount_out.__set__, Quote.branch.__set__, Quote.classification.__set__)
 
 
 def cpmm_out(dx: Num, x_i: Num, y_i: Num) -> Num:
@@ -281,9 +316,9 @@ def _quote(dx: Num, x_i: Num, y_i: Num, total_x: Num, total_y: Num, alg: Algorit
     if alg is _GMM:  # the global rule takes the lesser output
         alg = _NGMM if classification == CONVERGENT else _CPMM
     if alg is _CPMM:
-        return Quote(local, BRANCH_CPMM, classification)
+        return Quote._unchecked(local, BRANCH_CPMM, classification)
     if alg is _NGMM:
-        return Quote(naive, BRANCH_NGMM, classification)
+        return Quote._unchecked(naive, BRANCH_NGMM, classification)
     raise DomainError(f"unsupported algorithm {alg}")
 
 

@@ -36,7 +36,7 @@ class PreservationReport:
     balanced_rate: Num
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RebalanceTransfer:
     """One internal move: ``from_pool`` sends X, receives Y at the global price."""
 
@@ -57,6 +57,15 @@ def trade_preservation_condition(dx: Num, eco: Ecosystem) -> PreservationReport:
     """
     if not dx > 0:
         raise DomainError("order size must be positive")
+    holds, ngmm_rate, r, s_squared = _preservation(dx, eco)
+    s = sqrt_any(s_squared)
+    return PreservationReport(holds, ngmm_rate, r * s / (s + dx))
+
+
+def _preservation(dx: Num, eco: Ecosystem) -> Tuple[bool, Num, Num, Num]:
+    """The verdict of :func:`trade_preservation_condition` for ``dx > 0``,
+    with what it rests on: the naive global rate, the global ratio ``r`` and
+    the square of the best pool's balanced X reserve.  It takes no root."""
     x, y = eco.total_x, eco.total_y
     r = y / x
     max_product = max(p.product for p in eco.pools)
@@ -68,12 +77,8 @@ def trade_preservation_condition(dx: Num, eco: Ecosystem) -> PreservationReport:
         # local_rate < r*s/(s+dx)  <=>  local_rate*dx < s*(r - local_rate)
         if not (ngmm_rate > local_rate and gap > 0
                 and (local_rate * dx) ** 2 < s_squared * gap * gap):
-            holds = False
-            break
-    else:
-        holds = True
-    s = sqrt_any(s_squared)
-    return PreservationReport(holds, ngmm_rate, r * s / (s + dx))
+            return False, ngmm_rate, r, s_squared
+    return True, ngmm_rate, r, s_squared
 
 
 def balanced_arbitrage(eco: Ecosystem) -> Ecosystem:
@@ -216,7 +221,7 @@ def gmm_rebal_transfers(
     if force_trigger or (
         _is_max_product(eco.pools, idx)
         and _ratio_strictly_below(target.ratio, eco.ratio)
-        and trade_preservation_condition(dx, eco).holds
+        and _preservation(dx, eco)[0]
     ):
         work, transfers = rebalance_pools(eco, pool_id)
     else:

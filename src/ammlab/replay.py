@@ -76,7 +76,7 @@ class LogFormatError(ValueError):
         super().__init__(f"{len(self.errors)} log error(s): {lines}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplayRecord:
     block_number: int
     tx_index: int
@@ -89,6 +89,34 @@ class ReplayRecord:
     reserve_y_before: Fraction
     price_usd_x: Optional[Fraction] = None
     price_usd_y: Optional[Fraction] = None
+
+    @staticmethod
+    def _unchecked(block_number: int, tx_index: int, pair_id: str, role: str,
+                   attack_id: str, token_in: str, amount_in: Fraction,
+                   reserve_x_before: Fraction, reserve_y_before: Fraction,
+                   price_usd_x: Optional[Fraction],
+                   price_usd_y: Optional[Fraction]) -> "ReplayRecord":
+        """``ReplayRecord`` of these fields, built without ``__init__``: each
+        slot is set through the class's member descriptor."""
+        new = _new(ReplayRecord)
+        _set_block(new, block_number)
+        _set_tx(new, tx_index)
+        _set_pair(new, pair_id)
+        _set_role(new, role)
+        _set_attack(new, attack_id)
+        _set_token(new, token_in)
+        _set_amount(new, amount_in)
+        _set_rx(new, reserve_x_before)
+        _set_ry(new, reserve_y_before)
+        _set_px(new, price_usd_x)
+        _set_py(new, price_usd_y)
+        return new
+
+
+_new = object.__new__
+(_set_block, _set_tx, _set_pair, _set_role, _set_attack, _set_token, _set_amount,
+ _set_rx, _set_ry, _set_px, _set_py) = (getattr(ReplayRecord, name).__set__
+                                        for name in ReplayRecord.__slots__)
 
 
 #: Keys a scenario JSON may hold; ``seed`` is accepted and ignored, for old configs.
@@ -275,6 +303,7 @@ def parse_log(source) -> List[ReplayRecord]:
         raise LogFormatError([(1, f"bad header, expected {','.join(CSV_COLUMNS)}")])
 
     memo: Dict[str, Fraction] = {}
+    record = ReplayRecord._unchecked
     records: List[ReplayRecord] = []
     lines: List[int] = []
     groups: Dict[str, List[int]] = {}  # attack id -> indices into records
@@ -325,7 +354,7 @@ def parse_log(source) -> List[ReplayRecord]:
         if attack_id:
             groups.setdefault(attack_id, []).append(len(records))
         records.append(
-            ReplayRecord(block, tx, pair_id, role, attack_id, token_in, amount, rx, ry, px, py)
+            record(block, tx, pair_id, role, attack_id, token_in, amount, rx, ry, px, py)
         )
         lines.append(offset)
 

@@ -102,6 +102,20 @@ class TestClosedForms:
         assert float(profit) == pytest.approx(810.81, abs=0.01)
         assert sandwich_profit_gmm_closed(F(400_000), F(800_000), F(40_000), F(0)) == 0
 
+    def test_int_inputs_are_exact(self):
+        # an int is exact, as a pool reserve is: the lone pool's closed form
+        # pays exactly what the three-leg simulation pays
+        simulated = simulate_sandwich(Ecosystem.from_reserves([(400_000, 100)]),
+                                      SandwichSpec("amm1", 40_000, 60_000), Algorithm.CPMM)
+        assert simulated.attacker_profit == F(1_080_000, 107)
+        for profit, exact in ((sandwich_profit_cpmm_closed(400_000, 40_000, 60_000),
+                               F(1_080_000, 107)),
+                              (sandwich_profit_gmm_closed(400_000, 800_000, 40_000, 60_000),
+                               F(30_000, 37)),
+                              (sandwich_profit_nsplit(800_000, 2, 40_000, 60_000), F(30_000, 37)),
+                              (sandwich_profit_beta(400_000, 1, 40_000, 60_000), F(30_000, 37))):
+            assert type(profit) is F and profit == exact
+
     def test_global_degenerates_to_local(self):
         assert sandwich_profit_gmm_closed(
             F(400_000), F(400_000), F(40_000), F(60_000)

@@ -81,6 +81,14 @@ class TestIlCpmm:
         with pytest.raises(DomainError):
             il_cpmm(F(0), F(1))
 
+    def test_int_prices_are_exact(self):
+        # an int is exact, as a pool reserve is: two ints give the Fraction loss
+        for loss, exact in ((il_cpmm(4000, 3000), il_cpmm(F(4000), F(3000))),
+                            (il_cpmm(1000, 4000), F(1, 5)),
+                            (il_gmm_small_pool(4000, 3000, F(1, 2)),
+                             il_gmm_small_pool(F(4000), F(3000), F(1, 2)))):
+            assert type(loss) is F and loss == exact
+
     @given(a=prices, b=prices)
     @settings(max_examples=150)
     def test_symmetry_and_sign(self, a, b):

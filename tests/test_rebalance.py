@@ -298,6 +298,22 @@ class TestGmmRebalQuote:
         with pytest.raises(DomainError):
             gmm_rebal_quote(F(0), Ecosystem.from_reserves(SKEWED), "amm1")
 
+    def test_guard_takes_no_root(self, monkeypatch):
+        # the trigger reads only the preservation verdict; the square root is
+        # taken for trade_preservation_condition's report alone
+        eco = Ecosystem.from_reserves(SKEWED)
+        assert trade_preservation_condition(F(100), eco).holds
+        expected = gmm_rebal_transfers(F(100), eco, "amm1")
+        assert expected[2]  # the guard passed: rebalancing engaged
+
+        def no_root(value):
+            raise AssertionError("the guard took a square root")
+
+        monkeypatch.setattr(rebalance, "sqrt_any", no_root)
+        assert gmm_rebal_transfers(F(100), eco, "amm1") == expected
+        with pytest.raises(AssertionError):
+            trade_preservation_condition(F(100), eco)
+
 
 class TestRebalanceProperties:
     def test_phony_trade_equivalence_modulo_slippage(self):

@@ -492,16 +492,18 @@ class TestClosedFormsMatchOracle:
     def test_equal_to_the_expression(self, x, victim, attack, beta, n, kind):
         x = max(x, F(1))  # an int reserve stays positive
         x, victim, attack, beta = (as_kind(v, k) for v, k in zip((x, victim, attack, beta), kind))
+        # an int input is exact: the oracle sees it as a Fraction
+        ox, ov, oa, ob = (F(v) if type(v) is int else v for v in (x, victim, attack, beta))
         cases = [
             (lambda: sandwich_profit_cpmm_closed(x, victim, attack),
-             lambda: cpmm_oracle(x, victim, attack)),
+             lambda: cpmm_oracle(ox, ov, oa)),
             (lambda: sandwich_profit_gmm_closed(x, x * 3, victim, attack),
-             lambda: gmm_oracle(x, x * 3, victim, attack)),
+             lambda: gmm_oracle(ox, ox * 3, ov, oa)),
             # a float beta may round (1 + beta) * x below x: both raise
             (lambda: sandwich_profit_beta(x, beta, victim, attack),
-             lambda: gmm_oracle(x, (1 + beta) * x, victim, attack)),
+             lambda: gmm_oracle(ox, (1 + ob) * ox, ov, oa)),
             (lambda: sandwich_profit_nsplit(x, n, victim, attack),
-             lambda: gmm_oracle(x / n, x, victim, attack)),
+             lambda: gmm_oracle(ox / n, ox, ov, oa)),
         ]
         for call, oracle in cases:
             got, expected = value_or_domain_error(call), value_or_domain_error(oracle)
