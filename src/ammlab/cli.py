@@ -142,8 +142,7 @@ def cmd_sweep(args) -> int:
         print("error: empty ratio range", file=sys.stderr)
         return 2
     alpha = parse_number(args.alpha)
-    rows = [(r, il_cpmm(1, r) if r != 1 else 0, il_gmm_small_pool(1, r, alpha) if r != 1 else 0)
-            for r in ratios]
+    rows = [(r, il_cpmm(1, r), il_gmm_small_pool(1, r, alpha)) for r in ratios]
     _write_csv(args.out, ["ratio", "il_cpmm", "il_gmm"], rows)
     return 0
 

@@ -22,10 +22,9 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Iterable, Tuple
 
-Num = Union[int, float, Fraction]
+from .numeric import Num
 
 SIDE_X = "X"
 SIDE_Y = "Y"
@@ -73,10 +72,6 @@ _CPMM, _NGMM, _GMM = Algorithm.CPMM, Algorithm.NGMM, Algorithm.GMM
 # validate; each ``_unchecked`` builder skips ``__init__`` and sets every
 # slot through the class's member descriptor, bound once below the class.
 _new = object.__new__
-# Totals are summed only as sum() over these getters, in pool order: since
-# Python 3.12 sum() compensates float rounding, so a loop of additions
-# would give a successor other float totals than a fresh Ecosystem's.
-_x_of, _y_of = attrgetter("x"), attrgetter("y")
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,8 +144,9 @@ class Ecosystem:
         if len(index) != len(self.pools):
             raise DomainError(f"duplicate pool ids: {[p.pool_id for p in self.pools]}")
         _set_index(self, index)
-        _set_total_x(self, sum(map(_x_of, self.pools)))
-        _set_total_y(self, sum(map(_y_of, self.pools)))
+        total_x, total_y = _totals(self.pools)
+        _set_total_x(self, total_x)
+        _set_total_y(self, total_y)
 
     @staticmethod
     def _unchecked(pools: Tuple[PoolState, ...], total_x: Num, total_y: Num,
@@ -183,25 +179,19 @@ class Ecosystem:
         """Global marginal price of X in Y units."""
         return self.total_y / self.total_x
 
-    def _successor(self, idx: int, pool: PoolState, dx: Num, dy: Num) -> "Ecosystem":
-        """This ecosystem with ``pools[idx]`` replaced by ``pool``, whose
-        reserves differ from the old ones by ``(dx, dy)``.
+    def _successor(self, pools: Tuple[PoolState, ...], dx: Num, dy: Num) -> "Ecosystem":
+        """This ecosystem with its pools replaced by ``pools``, which hold the
+        same ids in the same positions and whose totals differ from the old
+        ones by ``(dx, dy)``.
 
-        Ids and positions do not change, so the index map is shared and not
-        checked again.  Exact totals are carried as ``total + delta``, which
-        equals the re-summed value; float totals are re-summed as a fresh
-        ``Ecosystem`` sums them, so they stay bit-identical to its totals.
+        The index map is shared and not checked again.  Exact totals are
+        carried as ``total + delta``, which equals the re-summed value; float
+        totals are re-summed by :func:`_totals`, so they stay bit-identical
+        to a fresh ``Ecosystem``'s.
         """
-        pools = self.pools[:idx] + (pool,) + self.pools[idx + 1:]
-        total_x, total_y = self.total_x, self.total_y
-        # an operand is exact (int or Fraction) exactly when it is no float
-        if not (isinstance(total_x, float) or isinstance(total_y, float)
-                or isinstance(pool.x, float) or isinstance(pool.y, float)):
-            total_x += dx
-            total_y += dy
-        else:
-            total_x = sum(map(_x_of, pools))
-            total_y = sum(map(_y_of, pools))
+        total_x, total_y = self.total_x + dx, self.total_y + dy
+        if isinstance(total_x, float) or isinstance(total_y, float):
+            total_x, total_y = _totals(pools)
         return Ecosystem._unchecked(pools, total_x, total_y, self._index)
 
     def relabeled(self) -> "Ecosystem":
@@ -212,6 +202,21 @@ class Ecosystem:
         """
         pools = tuple([PoolState._unchecked(p.pool_id, p.y, p.x) for p in self.pools])
         return Ecosystem._unchecked(pools, self.total_y, self.total_x, self._index)
+
+
+def _totals(pools: Tuple[PoolState, ...]) -> Tuple[Num, Num]:
+    """``(total_x, total_y)`` of ``pools``, added left to right in pool order.
+
+    The one summation of ecosystem totals.  It is a loop, not ``sum()``:
+    since Python 3.12 ``sum()`` compensates float rounding, so float totals,
+    and every global-rule output priced on them, would differ from one
+    interpreter to the next.
+    """
+    total_x = total_y = 0
+    for pool in pools:
+        total_x += pool.x
+        total_y += pool.y
+    return total_x, total_y
 
 
 _set_pools, _set_total_x, _set_total_y, _set_index = (
@@ -397,7 +402,8 @@ def apply_swap(eco: Ecosystem, order: SwapOrder, alg: Algorithm) -> Tuple[Ecosys
     if not (new_x > 0 and new_y > 0):
         raise _nonpositive(pool.pool_id, new_x, new_y)
     new_pool = PoolState._unchecked(pool.pool_id, new_x, new_y)
-    return eco._successor(idx, new_pool, delta_x, delta_y), out
+    pools = eco.pools[:idx] + (new_pool,) + eco.pools[idx + 1:]
+    return eco._successor(pools, delta_x, delta_y), out
 
 
 def pool_value(pool: PoolState, price: Num) -> Num:

@@ -177,8 +177,10 @@ def rebalance_pools(
         if not amount > 0:
             break
         paid = inter_pool_quote(amount, j.pool_id, work)
-        work = work._successor(l_idx, PoolState(l.pool_id, l.x - amount, l.y + paid), -amount, paid)
-        work = work._successor(j_idx, PoolState(j.pool_id, j.x + amount, j.y - paid), amount, -paid)
+        moved = list(pools)
+        moved[l_idx] = PoolState(l.pool_id, l.x - amount, l.y + paid)
+        moved[j_idx] = PoolState(j.pool_id, j.x + amount, j.y - paid)
+        work = work._successor(tuple(moved), 0, 0)  # a transfer moves no total
         transfers.append(RebalanceTransfer(l.pool_id, j.pool_id, amount, paid))
     else:
         raise DomainError(f"rebalancing {pool_id!r} did not settle within {limit} transfers")

@@ -445,6 +445,8 @@ def run_counterfactual(records: Sequence[ReplayRecord], config: ScenarioConfig) 
     negative = 0
     for pair_id, pair_fronts in groupby(fronts, key=attrgetter("pair_id")):
         outs: List[AttackOutcome] = []
+        native = pair_usd = neg = 0
+        unpriced = False
         for front in pair_fronts:
             reserve_in = conv(front.reserve_x_before if front.token_in == "X" else front.reserve_y_before)
             attack_dx = conv(front.amount_in)
@@ -463,14 +465,19 @@ def run_counterfactual(records: Sequence[ReplayRecord], config: ScenarioConfig) 
                     reserve_in, attack_dx, victim_dx, profit, usd,
                 )
             )
-        if any(o.profit_usd is None for o in outs):
+            # added left to right, as every float sum is (see core._totals)
+            native += profit
+            if usd is None:
+                unpriced = True
+            else:
+                pair_usd += usd
+            if profit < 0:
+                neg += 1
+        if unpriced:
             excluded.append(pair_id)
             continue
-        native = sum(o.profit_native for o in outs)
-        usd = sum(o.profit_usd for o in outs)
-        neg = sum(1 for o in outs if o.profit_native < 0)
-        per_pair.append(PairBreakdown(pair_id, len(outs), native, usd, neg))
-        total_usd = total_usd + usd
+        per_pair.append(PairBreakdown(pair_id, len(outs), native, pair_usd, neg))
+        total_usd = total_usd + pair_usd
         negative += neg
         kept.extend(outs)
 
@@ -575,12 +582,13 @@ def il_portfolio_report(
     totals: Dict[str, dict] = {}
     for klass in ("low", "high"):
         members = [e for e in entries if e.volatility == klass]
-        cpmm_usd = sum((float(e.il_cpmm) * float(e.hold_value_usd) for e in members), 0.0)
-        gmm_usd = {}
-        for i, alpha in enumerate(alphas):
-            gmm_usd[str(float(alpha))] = sum(
-                (float(e.il_gmm[i][1]) * float(e.hold_value_usd) for e in members), 0.0
-            )
+        cpmm_usd, gmm = 0.0, [0.0] * len(alphas)
+        for e in members:
+            hold = float(e.hold_value_usd)
+            cpmm_usd += float(e.il_cpmm) * hold
+            for i, (_, loss) in enumerate(e.il_gmm):
+                gmm[i] += float(loss) * hold
+        gmm_usd = {str(float(alpha)): v for alpha, v in zip(alphas, gmm)}
         totals[klass] = {
             "pair_count": len(members),
             "il_cpmm_usd": cpmm_usd,

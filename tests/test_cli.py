@@ -148,6 +148,12 @@ class TestSweep:
             _, rows = self.read_csv(out_file)
             assert rows[1.0] == [0.0, 0.0]
 
+    @pytest.mark.parametrize("ratio", ["1", "2"])
+    def test_il_alpha_is_checked_at_every_ratio(self, capsys, ratio):
+        # a flat price move is no reason to accept an alpha outside (0, 0.5]
+        rc, out, err = run(capsys, ["sweep", "il", "--alpha", "0.9", "--ratio", ratio])
+        assert (rc, out, err) == (1, "", "error: alpha must lie in (0, 0.5]\n")
+
     def test_empty_range_is_usage_error(self, capsys):
         rc, _, err = run(capsys, [
             "sweep", "mev", "--xi", "1", "--victim", "1", "--range", "5:4:1",

@@ -205,8 +205,8 @@ class ExactFloatTwin(RuleBasedStateMachine):
     @invariant()
     def totals_are_fresh_sums(self):
         for eco in (self.exact, self.float):
-            assert eco.total_x == sum(p.x for p in eco.pools)
-            assert eco.total_y == sum(p.y for p in eco.pools)
+            fresh = Ecosystem(eco.pools)
+            assert (eco.total_x, eco.total_y) == (fresh.total_x, fresh.total_y)
 
     @invariant()
     def global_rule_drains_no_pool(self):

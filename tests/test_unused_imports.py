@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every module-level private name of the package is referenced somewhere.
+"""Every name a module of the package imports is used in that module,
+every module-level private name of the package is referenced somewhere, and
+no module of the package uses the builtin ``sum``.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library.  ``__init__.py`` imports only to re-export and
@@ -108,3 +109,27 @@ def test_every_private_name_is_referenced():
         if name not in referenced
     )
     assert not unreferenced
+
+
+def _sum_uses(tree):
+    """Lines that read the name ``sum``: a call of the builtin, or the builtin
+    passed on as a function."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "sum" and isinstance(node.ctx, ast.Load)]
+
+
+def test_no_builtin_sum():
+    # since Python 3.12 sum() compensates float rounding, so a float total
+    # built with it would differ from one interpreter to the next; the
+    # package adds floats left to right in loops (core._totals)
+    uses = sorted(
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _sum_uses(ast.parse(path.read_text()))
+    )
+    assert not uses
+
+
+def test_a_builtin_sum_is_found():
+    tree = ast.parse("t = 0\nfor v in vs:\n    t += v\nu = sum(vs)\nw = map(sum, vss)\nm = math.fsum(vs)\n")
+    assert _sum_uses(tree) == [4, 5]
