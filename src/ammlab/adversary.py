@@ -107,70 +107,66 @@ def simulate_sandwich(eco: Ecosystem, spec: SandwichSpec, alg: Algorithm) -> San
 _EXACT = (int, Fraction)
 
 
-def _exact_ints(*values: Num) -> List[Num]:
-    """``values`` with each int held as a ``Fraction``, so that no division
-    of an int by an int turns a closed form's expression float."""
-    return [Fraction(v) if type(v) is int else v for v in values]
+def _sandwich_profit(x_i: Num, x_global: Num, victim_dx: Num, attack_dx: Num) -> Num:
+    """The one sandwich closed form: the profit of attack ``A`` around victim
+    ``V`` on a pool ``x`` in equal-ratio global reserves ``G``.  ``x`` must be
+    positive and both sizes nonnegative (``V`` is 0 for a bracket without
+    victims); callers check ``G >= x``.
 
-
-def _sandwich_quotient(x_i: Num, x_global: Num, victim_dx: Num,
-                       attack_dx: Num) -> Optional[Fraction]:
-    """Exact closed-form sandwich profit as one integer quotient, or None
-    unless every input is an int or a ``Fraction``.  Other inputs (a float
-    among them) keep the expressions of the callers, with ints held as
-    ``Fraction``s.
-
-    With ``S = A + V``, the profit of attack ``A`` around victim ``V`` on a
-    pool ``x`` in global reserves ``G`` is
-    ``A * [(x+S)(x*S - G*A) + V*x**2] / [G(x+S)(x+A) - V*x**2]``; over one
-    common denominator ``L`` every term is an integer and ``L`` is left
-    once in the denominator.
+    With ``S = A + V`` the profit is
+    ``A * [(x+S)(x*S - G*A) + V*x**2] / [G(x+S)(x+A) - V*x**2]``.  When every
+    input is an int or a ``Fraction`` it is one integer quotient: over one
+    common denominator ``L`` every term is an integer and ``L`` is left once
+    in the denominator, and the domain is checked on those integers.  Other
+    inputs (a float among them) evaluate the float expression below, with
+    ints held as ``Fraction``s so that no division of an int by an int turns
+    it float; a result that is not finite is a ``DomainError``, as a float
+    overflow in :func:`~ammlab.core.apply_swap` is.
     """
-    if not (type(x_i) in _EXACT and type(x_global) in _EXACT
-            and type(victim_dx) in _EXACT and type(attack_dx) in _EXACT):
-        return None
     values = (x_i, x_global, victim_dx, attack_dx)
-    den = math.lcm(*(v.denominator for v in values))
-    x, g, v, a = (q.numerator * (den // q.denominator) for q in values)
-    s = a + v
-    xs = x + s
-    vxx = v * x * x
-    return Fraction(a * (xs * (x * s - g * a) + vxx), den * (g * xs * (x + a) - vxx))
+    exact = (type(x_i) in _EXACT and type(x_global) in _EXACT
+             and type(victim_dx) in _EXACT and type(attack_dx) in _EXACT)
+    if exact:
+        den = math.lcm(*(q.denominator for q in values))
+        x, g, v, a = (q.numerator * (den // q.denominator) for q in values)
+    else:
+        x, g, v, a = (Fraction(q) if type(q) is int else q for q in values)
+    if not x > 0:
+        raise DomainError("reserve must be strictly positive")
+    if not (v >= 0 and a >= 0):
+        raise DomainError("victim and attack sizes must be nonnegative")
+    if exact:
+        s = a + v
+        xs = x + s
+        vxx = v * x * x
+        return Fraction(a * (xs * (x * s - g * a) + vxx), den * (g * xs * (x + a) - vxx))
+    t_loc = 1 + (a + v) / x
+    t_glob = 1 + (a + v) / g
+    denom = t_loc * (1 + a / x) - v / g  # at least 1, unless rounding cancels it
+    profit = (t_glob * t_loc / denom - 1) * a if denom > 0 else math.nan
+    if not math.isfinite(profit):
+        raise DomainError("sandwich profit lost to float overflow or cancellation")
+    return profit
 
 
 def sandwich_profit_cpmm_closed(x_i: Num, victim_dx: Num, attack_dx: Num) -> Num:
-    """Closed-form sandwich profit against a lone constant-product pool.
+    """Closed-form sandwich profit against a lone constant-product pool: the
+    global form at ``x_global = x_i``, since a lone pool's reserves are the
+    global ones.
 
     Depends only on the sent-asset reserve; agrees exactly with the three-leg
     simulation on the rational path, where an int input is exact.
     """
-    if not x_i > 0:
-        raise DomainError("reserve must be strictly positive")
-    exact = _sandwich_quotient(x_i, x_i, victim_dx, attack_dx)
-    if exact is not None:
-        return exact
-    x_i, victim_dx, attack_dx = _exact_ints(x_i, victim_dx, attack_dx)
-    d = victim_dx / x_i
-    dh = attack_dx / x_i
-    t = 1 + dh + d
-    return (t * t / (t * (1 + dh) - d) - 1) * attack_dx
+    return _sandwich_profit(x_i, x_i, victim_dx, attack_dx)
 
 
 def sandwich_profit_gmm_closed(x_i: Num, x_global: Num, victim_dx: Num, attack_dx: Num) -> Num:
     """Closed-form sandwich profit under the global rule, for a pool embedded
     in equal-ratio global reserves ``x_global >= x_i``; an int input is
     exact."""
-    if not x_i > 0:
-        raise DomainError("reserve must be strictly positive")
     if x_global < x_i:
         raise DomainError("global reserves cannot be smaller than the pool's")
-    exact = _sandwich_quotient(x_i, x_global, victim_dx, attack_dx)
-    if exact is not None:
-        return exact
-    x_i, x_global, victim_dx, attack_dx = _exact_ints(x_i, x_global, victim_dx, attack_dx)
-    t_loc = 1 + (attack_dx + victim_dx) / x_i
-    t_glob = 1 + (attack_dx + victim_dx) / x_global
-    return (t_glob * t_loc / (t_loc * (1 + attack_dx / x_i) - victim_dx / x_global) - 1) * attack_dx
+    return _sandwich_profit(x_i, x_global, victim_dx, attack_dx)
 
 
 def sandwich_profit_beta(x_i: Num, beta: Num, victim_dx: Num, attack_dx: Num) -> Num:
@@ -286,17 +282,18 @@ def _two_leg_candidates(eco: Ecosystem,
         yield side, first, second, reserve, sizes
 
 
-def _best_two_leg(eco: Ecosystem, alg: Algorithm) -> Tuple[Num, Tuple[str, int, int, Num]]:
+def _best_two_leg(eco: Ecosystem, alg: Algorithm,
+                  shadow: Optional[_Shadow]) -> Tuple[Num, Tuple[str, int, int, Num]]:
     """The best value (in Y at the initial global ratio) of a forward-all
     two-leg cycle of :func:`_two_leg_candidates`, and that cycle as ``(side,
     first pool index, second pool index, size)``.
 
-    Each size is priced as a closed cycle (see :func:`_screened_value`), so
-    a size that cannot beat the best so far is settled in float; the size 0
-    (value 0) stands when none pays.  Ties keep the earlier cycle, so a
-    cycle starting in Y, whose profit needs no valuation, wins one.
+    Each size is priced as a closed cycle (see :func:`_screened_value`) from
+    ``shadow``, ``_shadow(eco)``, so a size that cannot beat the best so far
+    is settled in float; the size 0 (value 0) stands when none pays.  Ties
+    keep the earlier cycle, so a cycle starting in Y, whose profit needs no
+    valuation, wins one.
     """
-    shadow = _shadow(eco)
     best: Num = 0
     cutoff = 0.0
     winner: Tuple[str, int, int, Num] = (SIDE_Y, 0, 1, 0)
@@ -323,7 +320,7 @@ def best_two_pool_arbitrage(eco: Ecosystem, alg: Algorithm) -> ArbitrageCycle:
     """
     if len(eco.pools) != 2:
         raise DomainError("two-pool search needs exactly two pools")
-    _, (side, first, second, amount) = _best_two_leg(eco, alg)
+    _, (side, first, second, amount) = _best_two_leg(eco, alg, _shadow(eco))
     opening = SwapOrder(eco.pools[first].pool_id, side, amount)
     work, mid = apply_swap(eco, opening, alg)
     closing = SwapOrder(eco.pools[second].pool_id, _other(side), mid)
@@ -648,10 +645,10 @@ def no_arbitrage_certificate(
     of the best cycle, as if every cycle had run exactly.
     """
     rng = random.Random(seed)
+    shadow = _shadow(eco)
     best: Num = 0
     if include_refined:
-        best, _ = _best_two_leg(eco, alg)
-    shadow = _shadow(eco)
+        best, _ = _best_two_leg(eco, alg, shadow)
     cutoff = _float_floor(best)
     for _ in range(samples):
         value = _random_cycle_value(eco, alg, rng, max_legs, cutoff, shadow)

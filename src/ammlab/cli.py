@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import toy
-from .adversary import sandwich_profit_cpmm_closed, sandwich_profit_gmm_closed
+from .adversary import sandwich_profit_gmm_closed
 from .analytics import il_cpmm, il_gmm_small_pool
 from .core import (
     Algorithm,
@@ -119,15 +119,14 @@ def cmd_sweep(args) -> int:
             return 2
         xi = parse_number(args.xi)
         victim = parse_number(args.victim)
-        alg = Algorithm.parse(args.algorithm)
-        if alg is Algorithm.CPMM:
-            rows = [(a, sandwich_profit_cpmm_closed(xi, victim, a)) for a in attacks]
-        else:  # gmm: the flag's choices admit no other
-            if args.x is None:
-                print("error: gmm sweep needs --x (global reserve)", file=sys.stderr)
-                return 2
+        if Algorithm.parse(args.algorithm) is Algorithm.CPMM:
+            xg = xi  # a lone pool's reserves are the global ones
+        elif args.x is None:  # gmm: the flag's choices admit no other
+            print("error: gmm sweep needs --x (global reserve)", file=sys.stderr)
+            return 2
+        else:
             xg = parse_number(args.x)
-            rows = [(a, sandwich_profit_gmm_closed(xi, xg, victim, a)) for a in attacks]
+        rows = [(a, sandwich_profit_gmm_closed(xi, xg, victim, a)) for a in attacks]
         _write_csv(args.out, ["attack_dx", "profit"], rows)
         return 0
 

@@ -154,6 +154,7 @@ def rebalance_pools(
     """
     l_idx = eco.index_of(pool_id)
     others = [k for k in range(len(eco.pools)) if k != l_idx]
+    exact = not (isinstance(eco.total_x, float) or isinstance(eco.total_y, float))
     work = eco
     transfers = []
     limit = 16 * len(eco.pools) + 16
@@ -164,11 +165,14 @@ def rebalance_pools(
         if not _ratio_strictly_below(l.ratio, r):
             break
         # the highest ratio, ties to the lowest index; "strictly above r" is
-        # monotone in the ratio, so no other pool can pass when this one fails
+        # monotone in the ratio, so no other pool can pass when this one fails.
+        # A float ratio within FLOAT_RATIO_TOL of the best is a tie, so that
+        # rounding does not part the float loop from the exact one.
         j_idx = j_ratio = None
         for k in others:
             ratio = pools[k].y / pools[k].x
-            if j_idx is None or ratio > j_ratio:
+            if j_idx is None or ratio > j_ratio and (
+                    exact or ratio - j_ratio > FLOAT_RATIO_TOL * ratio):
                 j_idx, j_ratio = k, ratio
         j = pools[j_idx]
         if not _ratio_strictly_below(r, j_ratio):

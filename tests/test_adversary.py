@@ -280,7 +280,7 @@ class TestClosedFormTwoLeg:
                     v = _two_leg_value(*case, d)
                     assert v is None or v <= value
                 best = max(best, value)
-            assert adversary._best_two_leg(eco, alg)[0] == best
+            assert adversary._best_two_leg(eco, alg, adversary._shadow(eco))[0] == best
 
     def test_sizes_are_breakpoints_or_piece_maxima(self):
         # under the global rule a leg's branch changes only at a size: where

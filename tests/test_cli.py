@@ -5,7 +5,7 @@ import json
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ammlab import toy
@@ -266,6 +266,26 @@ class TestReplay:
         rows = attacks_file.read_text().splitlines()
         assert rows[0].startswith("attack_id,")
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("config", [{"algorithm": "cpmm", "arithmetic": "float64"},
+                                        {"algorithm": "gmm", "split_count": 5,
+                                         "arithmetic": "float64"}])
+    def test_float_overflow_is_domain_error(self, capsys, tmp_path, config):
+        # the float expression overflows to nan (the rational replay reports 1e100):
+        # an error line, and neither output file is written
+        log = tmp_path / "log.csv"
+        log.write_text("\n".join([",".join(CSV_COLUMNS),
+                                  "1,0,P,frontrun,a1,X,1e100,1e-100,1,1,1",
+                                  "1,1,P,victim,a1,X,1e100,1e-100,1,1,1",
+                                  "1,2,P,backrun,a1,Y,1,1,1,1,1"]) + "\n")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        out_file, attacks_file = tmp_path / "summary.json", tmp_path / "attacks.csv"
+        rc, out, err = run(capsys, ["replay", "--log", str(log), "--config", str(cfg),
+                                    "--out", str(out_file), "--attacks-csv", str(attacks_file)])
+        assert (rc, out) == (1, "")
+        assert err == "error: sandwich profit lost to float overflow or cancellation\n"
+        assert not out_file.exists() and not attacks_file.exists()
 
     def test_il_mode(self, capsys, tmp_path):
         log = tmp_path / "log.csv"
@@ -556,6 +576,32 @@ def _exits_cleanly(argv, drawn):
         assert message == ""
 
 
+#: Literals at the numeric boundary: signs, zero, fractions, extreme exponents
+#: and a zero denominator.
+_BOUNDARY = st.sampled_from(("-4", "-1/3", "0", "1/3", "1", "4", "1e90", "1e-90", "-1e90", "3/0"))
+
+
+@st.composite
+def _numeric_argv(draw):
+    """A ``sweep mev``, ``sweep il`` or ``quote`` command line whose every
+    number is drawn from ``_BOUNDARY``, given as ``--flag=value`` so that
+    argparse never reads a negative value as a flag."""
+    n = lambda: draw(_BOUNDARY)  # noqa: E731
+    command = draw(st.sampled_from(("sweep mev", "sweep il", "quote")))
+    if command == "sweep mev":
+        flags = {"--xi": n(), "--victim": n(), "--range": f"{n()}:{n()}:{n()}",
+                 "--algorithm": draw(st.sampled_from(("cpmm", "gmm"))), "--x": n()}
+    elif command == "sweep il":
+        ratio = ("--ratio", n()) if draw(st.booleans()) else ("--ratio-range", f"{n()}:{n()}:{n()}")
+        flags = {"--alpha": n(), ratio[0]: ratio[1]}
+    else:
+        flags = {"--pools": f"{n()}:{n()},{n()}:{n()}", "--amount": n(),
+                 "--send": draw(st.sampled_from(("X", "Y"))),
+                 "--pool-index": draw(st.sampled_from(("0", "1"))),
+                 "--algorithm": draw(st.sampled_from(("cpmm", "ngmm", "gmm", "gmm-rebal")))}
+    return command.split() + [f"{flag}={value}" for flag, value in flags.items()]
+
+
 class TestFuzz:
     @pytest.fixture(scope="class", autouse=True)
     def workdir(self, tmp_path_factory):
@@ -599,11 +645,21 @@ class TestFuzz:
         _exits_cleanly(["replay", "--log", "log.csv", "--config", "drawn.json",
                         "--out", "summary.json"], text)
 
+    @given(argv=_numeric_argv())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @example(argv=["sweep", "mev", "--xi", "1", "--victim", "-4", "--range", "1:1:1"])
+    def test_numeric_boundary(self, argv):
+        _exits_cleanly(argv, argv)
+
     @pytest.mark.parametrize("argv", [
         ["quote", "--pools", "1:1", "--amount", "1/0"],
         ["quote", "--pools", "1:1", "--amount", "1e999999"],
         ["sweep", "mev", "--xi", "1/0", "--victim", "1", "--range", "1:2:1"],
         ["sweep", "il", "--ratio", "2", "--alpha", "1/0"],
+        # negative sizes; at (1, -4, 1) the exact quotient's denominator is 0
+        ["sweep", "mev", "--xi", "1", "--victim", "-4", "--range", "1:1:1"],
+        ["sweep", "mev", "--xi", "400000", "--victim", "-40000", "--range=0:10:5"],
+        ["sweep", "mev", "--xi", "400000", "--victim", "40000", "--range=-5:0:5"],
     ])
     def test_bad_number_is_domain_error(self, capsys, argv):
         rc, _, err = run(capsys, argv)

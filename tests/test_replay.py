@@ -451,15 +451,9 @@ class TestBackrunMatch:
             assert _backrun_mismatch(back, a, s, r) == expected
 
 
-# The closed forms as written before the exact path became one integer
-# quotient; the float path still evaluates exactly these expressions.
-def cpmm_oracle(x_i, victim_dx, attack_dx):
-    d = victim_dx / x_i
-    dh = attack_dx / x_i
-    t = 1 + dh + d
-    return (t * t / (t * (1 + dh) - d) - 1) * attack_dx
-
-
+# The global closed form as written before the exact path became one
+# integer quotient; the float path still evaluates exactly this expression,
+# and the lone pool's form is it at x_global = x_i.
 def gmm_oracle(x_i, x_global, victim_dx, attack_dx):
     if x_global < x_i:
         raise DomainError("global reserves cannot be smaller than the pool's")
@@ -496,7 +490,7 @@ class TestClosedFormsMatchOracle:
         ox, ov, oa, ob = (F(v) if type(v) is int else v for v in (x, victim, attack, beta))
         cases = [
             (lambda: sandwich_profit_cpmm_closed(x, victim, attack),
-             lambda: cpmm_oracle(ox, ov, oa)),
+             lambda: gmm_oracle(ox, ox, ov, oa)),
             (lambda: sandwich_profit_gmm_closed(x, x * 3, victim, attack),
              lambda: gmm_oracle(ox, ox * 3, ov, oa)),
             # a float beta may round (1 + beta) * x below x: both raise
@@ -526,6 +520,30 @@ class TestClosedFormsMatchOracle:
         for n in (0, True, 2.0):
             with pytest.raises(DomainError):
                 sandwich_profit_nsplit(F(10), n, F(1), F(1))
+
+    @pytest.mark.parametrize("victim, attack", [(F(-4), F(1)), (F(1), F(-1, 3)), (-1, 0),
+                                                (0.0, -1e-300), (F(1), -2.5)])
+    def test_negative_size(self, victim, attack):
+        # at (x, V, A) = (1, -4, 1) the exact quotient's denominator is 0
+        for call in (lambda: sandwich_profit_cpmm_closed(F(1), victim, attack),
+                     lambda: sandwich_profit_gmm_closed(F(1), F(3), victim, attack),
+                     lambda: sandwich_profit_beta(F(1), F(1), victim, attack),
+                     lambda: sandwich_profit_nsplit(F(1), 2, victim, attack)):
+            with pytest.raises(DomainError, match="nonnegative"):
+                call()
+
+    @pytest.mark.parametrize("x, victim, attack, n", [
+        (1e-100, 1e100, 1e100, 5),  # (x+S)(x+A)/x**2 overflows: the expression reads nan
+        (1.0, 1e20, 1e-20, 1),  # the denominator, at least 1, rounds to 0 at x_global = x
+    ])
+    def test_float_result_must_be_finite(self, x, victim, attack, n):
+        exact = sandwich_profit_nsplit(F(x), n, F(victim), F(attack))
+        assert abs(exact) < 10**101  # in float range: only the expression overflows
+        for call in (lambda: sandwich_profit_cpmm_closed(x, victim, attack),
+                     lambda: sandwich_profit_gmm_closed(x / n, x, victim, attack),
+                     lambda: sandwich_profit_nsplit(x, n, victim, attack)):
+            with pytest.raises(DomainError, match="float"):
+                call()
 
 
 # SHA-256 of the files `ammlab replay` writes for synthetic_attack_records(20240607, 250),

@@ -16,12 +16,13 @@ rule's float quote is within 1e-9 of its exact one, a global-rule quote is
 at most both the local and the naive-global one, and a naive-global quote
 is capped at the reserve it pays from.
 
-The float and exact rebalancing loops may part only on a tie: where one
-stops (or does not trigger) and the other goes on, the deciding ratio gap
-is within ``FLOAT_RATIO_TOL``; where they pick different receivers, those
-receivers' ratios are within it of each other.  After such a step the
-float image restarts from the exact ecosystem, since the two results then
-differ by a whole transfer.
+The float and exact rebalancing loops may part only on a near-tie: where
+one stops (or does not trigger) and the other goes on, the deciding ratio
+gap is within ``FLOAT_RATIO_TOL``; where they pick different receivers,
+those receivers' exact ratios differ, but by at most that tolerance
+(receivers at one exact ratio go to the lowest index in both loops).
+After such a step the float image restarts from the exact ecosystem,
+since the two results then differ by a whole transfer.
 """
 
 from fractions import Fraction as F
@@ -193,9 +194,9 @@ class ExactFloatTwin(RuleBasedStateMachine):
             n = next(i for i, pair in enumerate(zip_longest(exact_path, float_path))
                      if pair[0] != pair[1])
             at = _replay(self.exact, exact_moves[:n])
-            if n < min(len(exact_path), len(float_path)):  # two receivers at one ratio
+            if n < min(len(exact_path), len(float_path)):  # two receivers at nearly one ratio
                 a, b = at.pool(exact_path[n]).ratio, at.pool(float_path[n]).ratio
-                assert abs(a - b) <= FLOAT_RATIO_TOL * max(a, b)
+                assert a != b and abs(a - b) <= FLOAT_RATIO_TOL * max(a, b)
             else:  # one loop stopped, or did not start, where the other went on
                 assert _deciding_gap(at, idx) <= FLOAT_RATIO_TOL
             image = _float_image(exact)  # from here on the two differ by design
@@ -228,14 +229,17 @@ TestExactFloatTwin.settings = settings(
 
 def test_receivers_at_one_ratio_part_the_twin():
     # amm1, amm3 and amm4 land on one ratio; after the ratio moves, amm3 and
-    # amm4 are tied receivers, and float rounding picks amm4 where the exact
-    # loop takes amm3
+    # amm4 are tied receivers; float rounding leaves amm4's ratio an ulp
+    # higher, and the float loop still takes amm3, as the exact loop does
     twin = ExactFloatTwin()
     twin.build(pairs=[(1000, 1000), (6397, 1000), (1001, 1000), (1000, 1000)])
     twin.rebalance(pool=1, k=9, forced=False)
     twin.swap(alg=Algorithm.CPMM, side=SIDE_X, pool=0, k=1)
     twin.swap(alg=Algorithm.CPMM, side=SIDE_X, pool=1, k=1)
     assert twin.exact.pools[2].ratio == twin.exact.pools[3].ratio
+    assert twin.float.pools[2].ratio < twin.float.pools[3].ratio
+    for eco in (twin.exact, twin.float):
+        assert rebalance_pools(eco, "amm1")[1][0].to_pool == "amm3"
     twin.rebalance(pool=0, k=1, forced=True)
     twin.totals_are_fresh_sums()
     twin.float_image_tracks_exact()
