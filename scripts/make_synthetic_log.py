@@ -12,12 +12,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from ammlab.replay import records_to_csv, synthetic_attack_records  # noqa: E402
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=20230101)
     parser.add_argument("--attacks", type=int, default=100)
     parser.add_argument("--out", required=True)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.attacks < 0:
+        parser.error("--attacks must be a nonnegative integer")
     records = synthetic_attack_records(seed=args.seed, n_attacks=args.attacks)
     Path(args.out).write_text(records_to_csv(records), encoding="utf-8")
     print(f"wrote {len(records)} records ({args.attacks} attacks) to {args.out}")

@@ -120,8 +120,9 @@ def _sandwich_profit(x_i: Num, x_global: Num, victim_dx: Num, attack_dx: Num) ->
     in the denominator, and the domain is checked on those integers.  Other
     inputs (a float among them) evaluate the float expression below, with
     ints held as ``Fraction``s so that no division of an int by an int turns
-    it float; a result that is not finite is a ``DomainError``, as a float
-    overflow in :func:`~ammlab.core.apply_swap` is.
+    it float.  Where its denominator could cancel, the exact quotient is
+    rounded to float instead.  A result that is not finite is a
+    ``DomainError``, as a float overflow in :func:`~ammlab.core.apply_swap` is.
     """
     values = (x_i, x_global, victim_dx, attack_dx)
     exact = (type(x_i) in _EXACT and type(x_global) in _EXACT
@@ -142,8 +143,19 @@ def _sandwich_profit(x_i: Num, x_global: Num, victim_dx: Num, attack_dx: Num) ->
         return Fraction(a * (xs * (x * s - g * a) + vxx), den * (g * xs * (x + a) - vxx))
     t_loc = 1 + (a + v) / x
     t_glob = 1 + (a + v) / g
-    denom = t_loc * (1 + a / x) - v / g  # at least 1, unless rounding cancels it
-    profit = (t_glob * t_loc / denom - 1) * a if denom > 0 else math.nan
+    v_g = v / g
+    denom = t_loc * (1 + a / x) - v_g  # at least 1 exactly
+    if denom * 2**16 > v_g:
+        profit = (t_glob * t_loc / denom - 1) * a
+    else:
+        # The first term carries 6 roundings of u = 2**-53 and V/G one, so
+        # denom is off by up to about 7u(denom + V/G), under 7·2**-37 ≈ 5e-11
+        # of it while V/G < 2**16 denom.  Past that (or at a nan) the exact
+        # quotient is taken: a finite float is a Fraction exactly.
+        try:
+            profit = float(_sandwich_profit(*map(Fraction, (x, g, v, a))))
+        except (OverflowError, ValueError):  # an infinite or nan input has no exact value
+            profit = math.nan
     if not math.isfinite(profit):
         raise DomainError("sandwich profit lost to float overflow or cancellation")
     return profit

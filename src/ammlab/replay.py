@@ -543,13 +543,18 @@ def il_portfolio_report(
     Dollar losses weight the loss fraction by the pair's hold value:
     first-seen reserves at last-seen prices.
     """
+    alphas = list(alphas)
+    # checked here, not first at a pair, so that a log without one rejects them too
+    if not lam > 1:
+        raise DomainError("volatility threshold must exceed 1")
+    if not all(a > 0 and 2 * a <= 1 for a in alphas):
+        raise DomainError("alpha must lie in (0, 0.5]")
     by_pair: Dict[str, List[ReplayRecord]] = {}
     for rec in records:
         by_pair.setdefault(rec.pair_id, []).append(rec)
 
     entries: List[PairILEntry] = []
     excluded = {"too_few_trades": 0, "missing_prices": 0}
-    alphas = list(alphas)
     for pair_id in sorted(by_pair):
         recs = by_pair[pair_id]
         if len(recs) < 2:
@@ -614,8 +619,7 @@ def format_decimal(value: Num, places: int = 12) -> str:
     ``10**places`` (all fixture amounts are pre-rounded to that grid)."""
     if isinstance(value, float):
         value = Fraction(repr(value))
-    q = Fraction(value)
-    scaled = _scaled_round(q.numerator, q.denominator, places)
+    scaled = _scaled_round(value.numerator, value.denominator, places)
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(places + 1, "0")
     cut = len(digits) - places
@@ -630,75 +634,58 @@ def records_to_csv(records: Sequence[ReplayRecord]) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in records:
-        writer.writerow(
-            [
-                r.block_number,
-                r.tx_index,
-                r.pair_id,
-                r.role,
-                r.attack_id,
-                r.token_in,
-                format_decimal(r.amount_in),
-                format_decimal(r.reserve_x_before),
-                format_decimal(r.reserve_y_before),
-                "" if r.price_usd_x is None else format_decimal(r.price_usd_x),
-                "" if r.price_usd_y is None else format_decimal(r.price_usd_y),
-            ]
-        )
+        writer.writerow([r.block_number, r.tx_index, r.pair_id, r.role, r.attack_id, r.token_in,
+                         format_decimal(r.amount_in), format_decimal(r.reserve_x_before),
+                         format_decimal(r.reserve_y_before),
+                         "" if r.price_usd_x is None else format_decimal(r.price_usd_x),
+                         "" if r.price_usd_y is None else format_decimal(r.price_usd_y)])
     return out.getvalue()
-
-
-def _round_to_grid(value: Fraction) -> Fraction:
-    """``value`` rounded to the 12-decimal grid of the synthetic logs."""
-    return Fraction(_scaled_round(value.numerator, value.denominator, 12), 10**12)
 
 
 def synthetic_attack_records(seed: int, n_attacks: int = 100) -> List[ReplayRecord]:
     """Deterministic synthetic attack log used by tests and scripts.
 
     Amounts live on a 12-decimal grid so the CSV round-trips exactly; every
-    record carries USD prices so dollar totals are well defined.
+    record carries USD prices so dollar totals are well defined.  Sizes and
+    prices are whole hundredths and an exact swap keeps ``x*y``, so every
+    value is worked out on integers and rounded half to even onto the grid.
     """
+    if type(n_attacks) is not int or n_attacks < 0:
+        raise DomainError("the number of attacks must be a nonnegative integer")
     rng = random.Random(seed)
     pair_ids = [f"PAIR-{i:02d}" for i in range(1, 7)]
-    base_price_x = {pid: Fraction(rng.randint(1, 4000)) for pid in pair_ids}
+    base_price_x = {pid: rng.randint(1, 4000) for pid in pair_ids}
+    one = Fraction(1)
+    record = ReplayRecord._unchecked
     records: List[ReplayRecord] = []
     block = 17_000_000
     for k in range(n_attacks):
         pair = rng.choice(pair_ids)
         block += rng.randint(1, 5)
         token_in = rng.choice(("X", "Y"))
-        rx = Fraction(rng.randint(50_000, 5_000_000))
-        ry = Fraction(rng.randint(50_000, 5_000_000))
-        sent = rx if token_in == "X" else ry
-        received = ry if token_in == "X" else rx
-        attack_dx = _round_to_grid(sent * Fraction(rng.randint(2, 30), 100))
-        n_victims = rng.randint(1, 3)
-        victim_sizes = [
-            _round_to_grid(sent * Fraction(rng.randint(1, 12), 100)) for _ in range(n_victims)
-        ]
-        price_x = _round_to_grid(base_price_x[pair] * Fraction(rng.randint(90, 110), 100))
-        price_y = Fraction(1)
-        attack_id = f"atk-{k:04d}"
-
-        def record(tx, role, token, amount, res_x, res_y):
-            return ReplayRecord(
-                block, tx, pair, role, attack_id if role != ROLE_NORMAL else "",
-                token, amount, _round_to_grid(res_x), _round_to_grid(res_y),
-                price_x, price_y,
-            )
-
-        front_out = cpmm_out(attack_dx, sent, received)
-        records.append(record(0, ROLE_FRONTRUN, token_in, attack_dx, rx, ry))
-        cur_sent, cur_recv = sent + attack_dx, received - front_out
-        tx = 1
-        for size in victim_sizes:
-            res_x, res_y = (cur_sent, cur_recv) if token_in == "X" else (cur_recv, cur_sent)
-            records.append(record(tx, ROLE_VICTIM, token_in, size, res_x, res_y))
-            out = cpmm_out(size, cur_sent, cur_recv)
-            cur_sent, cur_recv = cur_sent + size, cur_recv - out
-            tx += 1
-        res_x, res_y = (cur_sent, cur_recv) if token_in == "X" else (cur_recv, cur_sent)
         back_token = "Y" if token_in == "X" else "X"
-        records.append(record(tx, ROLE_BACKRUN, back_token, _round_to_grid(front_out), res_x, res_y))
+        rx = rng.randint(50_000, 5_000_000)
+        ry = rng.randint(50_000, 5_000_000)
+        sent, received = (rx, ry) if token_in == "X" else (ry, rx)
+        attack = sent * rng.randint(2, 30)  # hundredths, as are the victim sizes
+        victims = [sent * rng.randint(1, 12) for _ in range(rng.randint(1, 3))]
+        price_x = Fraction(base_price_x[pair] * rng.randint(90, 110), 100)
+        attack_id = f"atk-{k:04d}"
+        records.append(record(block, 0, pair, ROLE_FRONTRUN, attack_id, token_in,
+                              Fraction(attack, 100), Fraction(rx), Fraction(ry), price_x, one))
+        product = 100 * sent * received
+
+        def reserves(held):  # (x, y) once the sent side holds ``held`` hundredths
+            res_sent = Fraction(held, 100)
+            res_recv = Fraction(_scaled_round(product, held, 12), 10**12)
+            return (res_sent, res_recv) if token_in == "X" else (res_recv, res_sent)
+
+        held = 100 * sent + attack
+        for tx, size in enumerate(victims, start=1):
+            records.append(record(block, tx, pair, ROLE_VICTIM, attack_id, token_in,
+                                  Fraction(size, 100), *reserves(held), price_x, one))
+            held += size
+        back = Fraction(_scaled_round(received * attack, 100 * sent + attack, 12), 10**12)
+        records.append(record(block, len(victims) + 1, pair, ROLE_BACKRUN, attack_id,
+                              back_token, back, *reserves(held), price_x, one))
     return records

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ammlab import toy
 from ammlab.cli import main
-from ammlab.replay import CSV_COLUMNS
+from ammlab.replay import CSV_COLUMNS, records_to_csv, synthetic_attack_records
 
 PART2_LOG = "\n".join(
     [
@@ -296,6 +296,21 @@ class TestReplay:
         assert rc == 0
         payload = json.loads(out)
         assert payload["pairs"][0]["volatility"] == "low"
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--lambda-threshold", "1"], "error: volatility threshold must exceed 1\n"),
+        (["--alphas", "0.9,-1"], "error: alpha must lie in (0, 0.5]\n"),
+    ])
+    @pytest.mark.parametrize("rows", [
+        [],  # header only
+        ["100,0,PAIR-A,normal,,X,5,400000,100,1,4000"],  # no pair of two trades
+        records_to_csv(synthetic_attack_records(20230101, 3)).splitlines()[1:],
+    ])
+    def test_il_flags_are_checked_before_any_pair(self, capsys, tmp_path, flags, error, rows):
+        log = tmp_path / "log.csv"
+        log.write_text("\n".join([",".join(CSV_COLUMNS), *rows]) + "\n")
+        rc, out, err = run(capsys, ["replay", "--log", str(log), "--il", *flags])
+        assert (rc, out, err) == (1, "", error)
 
     @pytest.mark.parametrize("threshold", ["abc", "1e999999", "nan"])
     def test_bad_lambda_threshold_is_domain_error(self, capsys, tmp_path, threshold):

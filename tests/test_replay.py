@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -32,6 +34,7 @@ from ammlab.replay import (
     run_counterfactual,
     synthetic_attack_records,
 )
+from scripts import make_synthetic_log
 
 HEADER = ",".join(CSV_COLUMNS)
 
@@ -146,6 +149,88 @@ class TestParseLog:
         records = synthetic_attack_records(seed=20230101, n_attacks=25)
         parsed = parse_log(records_to_csv(records).encode())
         assert parsed == records
+
+
+# synthetic_attack_records as written before it worked on integers: exact
+# Fraction swap chains, each logged value rounded half to even onto the grid.
+def on_grid(value):
+    return F(round(value * 10**12), 10**12)
+
+
+def synthetic_oracle(seed, n_attacks):
+    rng = random.Random(seed)
+    pair_ids = [f"PAIR-{i:02d}" for i in range(1, 7)]
+    base_price_x = {pid: F(rng.randint(1, 4000)) for pid in pair_ids}
+    records = []
+    block = 17_000_000
+    for k in range(n_attacks):
+        pair = rng.choice(pair_ids)
+        block += rng.randint(1, 5)
+        token_in = rng.choice(("X", "Y"))
+        rx = F(rng.randint(50_000, 5_000_000))
+        ry = F(rng.randint(50_000, 5_000_000))
+        sent = rx if token_in == "X" else ry
+        received = ry if token_in == "X" else rx
+        attack_dx = on_grid(sent * F(rng.randint(2, 30), 100))
+        n_victims = rng.randint(1, 3)
+        victim_sizes = [on_grid(sent * F(rng.randint(1, 12), 100)) for _ in range(n_victims)]
+        price_x = on_grid(base_price_x[pair] * F(rng.randint(90, 110), 100))
+        price_y = F(1)
+        attack_id = f"atk-{k:04d}"
+
+        def record(tx, role, token, amount, res_x, res_y):
+            return ReplayRecord(block, tx, pair, role, attack_id, token, amount,
+                                on_grid(res_x), on_grid(res_y), price_x, price_y)
+
+        front_out = cpmm_out(attack_dx, sent, received)
+        records.append(record(0, "frontrun", token_in, attack_dx, rx, ry))
+        cur_sent, cur_recv = sent + attack_dx, received - front_out
+        tx = 1
+        for size in victim_sizes:
+            res_x, res_y = (cur_sent, cur_recv) if token_in == "X" else (cur_recv, cur_sent)
+            records.append(record(tx, "victim", token_in, size, res_x, res_y))
+            out = cpmm_out(size, cur_sent, cur_recv)
+            cur_sent, cur_recv = cur_sent + size, cur_recv - out
+            tx += 1
+        res_x, res_y = (cur_sent, cur_recv) if token_in == "X" else (cur_recv, cur_sent)
+        back_token = "Y" if token_in == "X" else "X"
+        records.append(record(tx, "backrun", back_token, on_grid(front_out), res_x, res_y))
+    return records
+
+
+def field_types(records):
+    return [tuple(type(getattr(r, name)) for name in ReplayRecord.__slots__) for r in records]
+
+
+class TestSyntheticLog:
+    SEEDS = [*range(56), 77, 2024, 20230101, 20240607]
+
+    @pytest.mark.parametrize("n_attacks", [0, 1, 7, 30, 250])
+    def test_equal_to_the_fraction_chains(self, n_attacks):
+        for seed in self.SEEDS:
+            got, expected = synthetic_attack_records(seed, n_attacks), synthetic_oracle(seed, n_attacks)
+            assert got == expected
+            assert field_types(got) == field_types(expected)
+            assert records_to_csv(got) == records_to_csv(expected)
+
+    @pytest.mark.parametrize("n_attacks", [-1, -4, True, False, 2.0, "3", None])
+    def test_count_must_be_a_nonnegative_int(self, n_attacks):
+        with pytest.raises(DomainError, match="nonnegative integer"):
+            synthetic_attack_records(1, n_attacks)
+
+    def test_script_writes_the_log(self, tmp_path, capsys):
+        out = tmp_path / "log.csv"
+        assert make_synthetic_log.main(["--seed", "7", "--attacks", "3", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == records_to_csv(synthetic_attack_records(7, 3))
+        assert capsys.readouterr().out == f"wrote {len(parse_log(out))} records (3 attacks) to {out}\n"
+
+    def test_script_rejects_a_negative_count(self, tmp_path, capsys):
+        out = tmp_path / "log.csv"
+        with pytest.raises(SystemExit) as exit_:
+            make_synthetic_log.main(["--attacks", "-4", "--out", str(out)])
+        assert exit_.value.code == 2
+        assert "--attacks must be a nonnegative integer" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestScenarioConfig:
@@ -453,13 +538,18 @@ class TestBackrunMatch:
 
 # The global closed form as written before the exact path became one
 # integer quotient; the float path still evaluates exactly this expression,
-# and the lone pool's form is it at x_global = x_i.
+# and the lone pool's form is it at x_global = x_i.  Where the float
+# denominator falls below 2**-16 V/G it could cancel, and the float path
+# returns the exact value rounded instead.
 def gmm_oracle(x_i, x_global, victim_dx, attack_dx):
     if x_global < x_i:
         raise DomainError("global reserves cannot be smaller than the pool's")
     t_loc = 1 + (attack_dx + victim_dx) / x_i
     t_glob = 1 + (attack_dx + victim_dx) / x_global
-    return (t_glob * t_loc / (t_loc * (1 + attack_dx / x_i) - victim_dx / x_global) - 1) * attack_dx
+    denom = t_loc * (1 + attack_dx / x_i) - victim_dx / x_global
+    if type(denom) is float and not denom * 2**16 > victim_dx / x_global:
+        return float(gmm_oracle(*map(F, (x_i, x_global, victim_dx, attack_dx))))
+    return (t_glob * t_loc / denom - 1) * attack_dx
 
 
 def value_or_domain_error(call):
@@ -532,18 +622,48 @@ class TestClosedFormsMatchOracle:
             with pytest.raises(DomainError, match="nonnegative"):
                 call()
 
-    @pytest.mark.parametrize("x, victim, attack, n", [
-        (1e-100, 1e100, 1e100, 5),  # (x+S)(x+A)/x**2 overflows: the expression reads nan
-        (1.0, 1e20, 1e-20, 1),  # the denominator, at least 1, rounds to 0 at x_global = x
+    @pytest.mark.parametrize("x, victim, attack, n, finite", [
+        # (x+S)(x+A)/x**2 overflows: the expression reads nan
+        pytest.param(1e-100, 1e100, 1e100, 5, False, id="1e-100-1e+100-1e+100-5"),
+        # the denominator, at least 1, rounds to 0 at x_global = x: the exact value is taken
+        pytest.param(1.0, 1e20, 1e-20, 1, True, id="1.0-1e+20-1e-20-1"),
     ])
-    def test_float_result_must_be_finite(self, x, victim, attack, n):
+    def test_float_result_must_be_finite(self, x, victim, attack, n, finite):
         exact = sandwich_profit_nsplit(F(x), n, F(victim), F(attack))
         assert abs(exact) < 10**101  # in float range: only the expression overflows
         for call in (lambda: sandwich_profit_cpmm_closed(x, victim, attack),
                      lambda: sandwich_profit_gmm_closed(x / n, x, victim, attack),
                      lambda: sandwich_profit_nsplit(x, n, victim, attack)):
-            with pytest.raises(DomainError, match="float"):
-                call()
+            if finite:
+                assert call() == float(exact)
+            else:
+                with pytest.raises(DomainError, match="float"):
+                    call()
+
+    @pytest.mark.parametrize("x, victim, attack, in_range", [
+        (0.0011326, 1.4932e13, 2.9084e-19, True),  # the expression read 2.53e13 for 1.15e13
+        (1e-300, 1e300, 1e-300, True),  # its terms are infinite
+        (1.0, math.inf, 1.0, False),  # an infinite input has no exact value
+    ])
+    def test_cancelling_denominator_takes_the_exact_value(self, x, victim, attack, in_range):
+        if in_range:
+            exact = sandwich_profit_cpmm_closed(F(x), F(victim), F(attack))
+            assert sandwich_profit_cpmm_closed(x, victim, attack) == float(exact)
+        else:
+            with pytest.raises(DomainError, match="float overflow"):
+                sandwich_profit_cpmm_closed(x, victim, attack)
+
+    def test_float_error_within_the_contract(self):
+        # x in 1e-3..1e3, V in 1e-20..1e20, A in 1e-20..1e3, G = x or above it:
+        # within 1e-9 of max(|exact|, A)
+        rng = random.Random(2024)
+        for _ in range(2000):
+            x = 10 ** rng.uniform(-3, 3)
+            g = x if rng.random() < 0.5 else x * (1 + 10 ** rng.uniform(-12, 3))
+            victim, attack = 10 ** rng.uniform(-20, 20), 10 ** rng.uniform(-20, 3)
+            exact = sandwich_profit_gmm_closed(F(x), F(g), F(victim), F(attack))
+            got = sandwich_profit_gmm_closed(x, g, victim, attack)
+            assert abs(F(got) - exact) <= max(abs(exact), F(attack)) / 10**9
 
 
 # SHA-256 of the files `ammlab replay` writes for synthetic_attack_records(20240607, 250),
