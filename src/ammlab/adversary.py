@@ -752,7 +752,10 @@ def insider_optimal_trades(eco: Ecosystem, r_new: Num) -> List[SwapOrder]:
 
 def insider_final_small_reserve(x_small: Num, x_large: Num, r_init: Num, r_new: Num) -> Num:
     """Closed-form final X reserve of the smaller pool in the benchmark
-    (canonical orientation ``r_new < r_init``); cross-checks the optimizer."""
+    (canonical orientation ``r_new < r_init``); cross-checks the optimizer.
+    Int inputs are held as ``Fraction``s, so that they stay exact."""
+    x_small, x_large, r_init, r_new = (Fraction(q) if type(q) is int else q
+                                       for q in (x_small, x_large, r_init, r_new))
     alpha = x_small / (x_small + x_large)
     k = (1 - alpha) / alpha
     a = sqrt_any(r_new / r_init)

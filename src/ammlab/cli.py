@@ -6,6 +6,9 @@ Subcommands: ``quote`` (price one order against an inline ecosystem),
 logged attack CSV).  Exit codes: 0 success, 1 domain/validation error,
 2 usage error.  Machine output (CSV/JSON) is written at full precision and
 is byte-deterministic for fixed flags; tables round to two decimals.
+
+Importing this module loads only ``core`` and ``numeric``; each command
+loads the layers it runs when it runs.
 """
 
 from __future__ import annotations
@@ -18,9 +21,6 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from . import toy
-from .adversary import sandwich_profit_gmm_closed
-from .analytics import il_cpmm, il_gmm_small_pool
 from .core import (
     Algorithm,
     DomainError,
@@ -31,15 +31,21 @@ from .core import (
     SwapOrder,
     quote_order,
 )
-from .rebalance import gmm_rebal_transfers
-from .replay import (
-    LogFormatError,
-    ScenarioConfig,
-    il_portfolio_report,
-    parse_log,
-    parse_number,
-    run_counterfactual,
-)
+from .numeric import parse_number
+
+#: The replay stages ``cmd_replay`` calls.  Each is bound in this module on
+#: the first read of its attribute (PEP 562), which loads the replay layer,
+#: and ``cmd_replay`` calls whatever the attribute holds at call time.
+_REPLAY_STAGES = ("il_portfolio_report", "parse_log", "run_counterfactual")
+
+
+def __getattr__(name: str):
+    if name not in _REPLAY_STAGES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import replay
+
+    value = globals()[name] = getattr(replay, name)
+    return value
 
 
 #: Most points one sweep range may hold; the figure script's largest is 256.
@@ -95,6 +101,8 @@ def cmd_quote(args) -> int:
         raise DomainError("--force-trigger only applies to gmm-rebal")
     order = SwapOrder(pool_id, args.send, amount)
     if rebalancing:
+        from .rebalance import gmm_rebal_transfers
+
         work = eco if order.side == SIDE_X else eco.relabeled()
         if amount > 0:
             _, quote, transfers = gmm_rebal_transfers(amount, work, pool_id, args.force_trigger)
@@ -113,6 +121,8 @@ def cmd_quote(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.curve == "mev":
+        from .adversary import sandwich_profit_gmm_closed
+
         attacks = _parse_range(args.range)
         if not attacks:
             print("error: empty attack range", file=sys.stderr)
@@ -131,6 +141,8 @@ def cmd_sweep(args) -> int:
         return 0
 
     # curve == "il"
+    from .analytics import il_cpmm, il_gmm_small_pool
+
     if args.ratio is not None:
         ratios = [parse_number(args.ratio)]
     elif args.ratio_range is not None:
@@ -147,6 +159,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_toy(args) -> int:
+    from . import toy
+
+    if args.part not in toy.PARTS:
+        print(f"error: no part {args.part}; the parts are "
+              f"{', '.join(map(str, sorted(toy.PARTS)))}", file=sys.stderr)
+        return 2
     alg = None if args.algorithm is None else Algorithm.parse(args.algorithm)
     checks = toy.run_part(args.part, alg)
     width = max(len(c.name) for c in checks)
@@ -165,15 +183,18 @@ def cmd_replay(args) -> int:
     if not args.il and args.config is None:  # checked before a large log is parsed
         print("error: --config is required unless --il is given", file=sys.stderr)
         return 2
-    records = parse_log(args.log)
+    stages = sys.modules[__name__]  # see _REPLAY_STAGES
+    records = stages.parse_log(args.log)
     if args.il:
         alphas = [parse_number(a) for a in args.alphas.split(",") if a]
-        report = il_portfolio_report(records, alphas, parse_number(args.lambda_threshold))
+        report = stages.il_portfolio_report(records, alphas, parse_number(args.lambda_threshold))
         payload = report.to_json_dict()
     else:
+        from .replay import ScenarioConfig
+
         with open(args.config, "r", encoding="utf-8") as fh:
             config = ScenarioConfig.from_json(fh.read())
-        summary = run_counterfactual(records, config)
+        summary = stages.run_counterfactual(records, config)
         payload = summary.to_json_dict()
         if args.attacks_csv:
             _write_csv(
@@ -235,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     il.set_defaults(func=cmd_sweep)
 
     toy_p = sub.add_parser("toy", help="run a scripted golden scenario")
-    toy_p.add_argument("--part", type=int, required=True, choices=sorted(toy.PARTS))
+    toy_p.add_argument("--part", type=int, required=True, help="number of the scripted part")
     toy_p.add_argument("--algorithm", default=None,
                        help="override the scenario's algorithm (part 5 only)")
     toy_p.set_defaults(func=cmd_toy)
@@ -259,13 +280,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except LogFormatError as exc:
-        print("error: invalid log", file=sys.stderr)
-        for line, msg in exc.errors:
-            print(f"  line {line}: {msg}", file=sys.stderr)
-        return 1
     except (DomainError, ReserveDepletionError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        replay = sys.modules.get(f"{__package__}.replay")  # only it raises LogFormatError
+        if replay is not None and isinstance(exc, replay.LogFormatError):
+            print("error: invalid log", file=sys.stderr)
+            for line, msg in exc.errors:
+                print(f"  line {line}: {msg}", file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,5 +1,5 @@
-"""Shared numeric helpers: the number types and square roots with
-exactness control.
+"""Shared numeric helpers: the number types, square roots with
+exactness control, and numeric literals read from outside the program.
 
 Amounts in this package are either ``fractions.Fraction`` (the exact
 reference arithmetic) or ``float`` (the fast path).  Square roots are the
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Sequence, Tuple, Union
 
 Num = Union[int, float, Fraction]
 
@@ -52,3 +52,40 @@ def sqrt_any(value: Num):
     if lo == hi:
         return lo
     return (lo + hi) / 2
+
+
+#: Longest numeric field, and largest decimal exponent, a log may hold.  The
+#: work and memory a literal costs grow with both: ``1e1000000`` would parse
+#: into an integer of 3.3 million bits.
+MAX_LITERAL_CHARS = 100
+MAX_LITERAL_EXPONENT = 100
+
+
+def _oversized_literal(fields: Sequence[str]) -> bool:
+    for text in fields:
+        if len(text) > MAX_LITERAL_CHARS:
+            return True
+        _, mark, exponent = text.replace("E", "e").rpartition("e")
+        if mark:
+            try:
+                if abs(int(exponent)) > MAX_LITERAL_EXPONENT:
+                    return True
+            except ValueError:
+                pass  # not a number at all: Fraction rejects it below
+    return False
+
+
+def parse_number(text: str) -> Fraction:
+    """A numeric literal given outside a log (a CLI flag, a scenario string)
+    as a ``Fraction``.  Literals over the log's caps (so ``1e999999999`` is
+    not expanded) and zero denominators are a ``DomainError``; other text
+    raises ``Fraction``'s ``ValueError``."""
+    from .core import DomainError  # core imports this module
+
+    if _oversized_literal((text,)):
+        raise DomainError(f"numeric literal longer than {MAX_LITERAL_CHARS} characters "
+                          f"or with an exponent beyond {MAX_LITERAL_EXPONENT}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise DomainError(f"zero denominator in {text!r}") from None

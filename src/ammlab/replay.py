@@ -33,7 +33,13 @@ from .adversary import (
 )
 from .analytics import il_cpmm, il_gmm_small_pool, volatility_class
 from .core import Algorithm, DomainError, cpmm_out
-from .numeric import Num
+from .numeric import (
+    MAX_LITERAL_CHARS,
+    MAX_LITERAL_EXPONENT,
+    Num,
+    _oversized_literal,
+    parse_number,
+)
 
 CSV_COLUMNS = (
     "block_number",
@@ -58,12 +64,6 @@ ROLES = (ROLE_NORMAL, ROLE_FRONTRUN, ROLE_VICTIM, ROLE_BACKRUN)
 #: Back-run inputs are matched against the front-run's output at this
 #: relative tolerance; logs quote rounded decimals.
 BACKRUN_MATCH_RTOL = Fraction(1, 1000)
-
-#: Longest numeric field, and largest decimal exponent, a log may hold.  The
-#: work and memory a literal costs grow with both: ``1e1000000`` would parse
-#: into an integer of 3.3 million bits.
-MAX_LITERAL_CHARS = 100
-MAX_LITERAL_EXPONENT = 100
 
 
 class LogFormatError(ValueError):
@@ -240,34 +240,6 @@ def _read_text(source) -> str:
         return source.decode("utf-8")
     with open(source, "rb") as fh:
         return fh.read().decode("utf-8")
-
-
-def _oversized_literal(fields: Sequence[str]) -> bool:
-    for text in fields:
-        if len(text) > MAX_LITERAL_CHARS:
-            return True
-        _, mark, exponent = text.replace("E", "e").rpartition("e")
-        if mark:
-            try:
-                if abs(int(exponent)) > MAX_LITERAL_EXPONENT:
-                    return True
-            except ValueError:
-                pass  # not a number at all: Fraction rejects it below
-    return False
-
-
-def parse_number(text: str) -> Fraction:
-    """A numeric literal given outside a log (a CLI flag, a scenario string)
-    as a ``Fraction``.  Literals over the log's caps (so ``1e999999999`` is
-    not expanded) and zero denominators are a ``DomainError``; other text
-    raises ``Fraction``'s ``ValueError``."""
-    if _oversized_literal((text,)):
-        raise DomainError(f"numeric literal longer than {MAX_LITERAL_CHARS} characters "
-                          f"or with an exponent beyond {MAX_LITERAL_EXPONENT}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise DomainError(f"zero denominator in {text!r}") from None
 
 
 def _decimal(text: str, memo: Dict[str, Fraction]) -> Fraction:
@@ -629,16 +601,26 @@ def format_decimal(value: Num, places: int = 12) -> str:
 
 
 def records_to_csv(records: Sequence[ReplayRecord]) -> str:
-    """Serialize records to the interchange CSV (header included)."""
+    """Serialize records to the interchange CSV (header included).
+
+    The records of one attack share their price objects, so a price is
+    formatted again only when the object differs from the last record's.
+    """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
+    price_x = price_y = None
+    text_x = text_y = ""
     for r in records:
+        if r.price_usd_x is not price_x:
+            price_x = r.price_usd_x
+            text_x = "" if price_x is None else format_decimal(price_x)
+        if r.price_usd_y is not price_y:
+            price_y = r.price_usd_y
+            text_y = "" if price_y is None else format_decimal(price_y)
         writer.writerow([r.block_number, r.tx_index, r.pair_id, r.role, r.attack_id, r.token_in,
                          format_decimal(r.amount_in), format_decimal(r.reserve_x_before),
-                         format_decimal(r.reserve_y_before),
-                         "" if r.price_usd_x is None else format_decimal(r.price_usd_x),
-                         "" if r.price_usd_y is None else format_decimal(r.price_usd_y)])
+                         format_decimal(r.reserve_y_before), text_x, text_y])
     return out.getvalue()
 
 

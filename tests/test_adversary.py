@@ -570,3 +570,10 @@ class TestInsiderBenchmark:
             work, _ = apply_swap(work, order, Algorithm.GMM)
         closed = insider_final_small_reserve(F(100), F(300), F(4_000), F(3_000))
         assert abs(float(work.pools[1].x) / float(closed) - 1) < 1e-9
+
+    def test_final_reserve_closed_form_keeps_int_inputs_exact(self):
+        exact = insider_final_small_reserve(F(100), F(200), F(4_000), F(3_000))
+        held = insider_final_small_reserve(100, 200, 4_000, 3_000)
+        assert type(held) is F and held == exact
+        floats = insider_final_small_reserve(100.0, 200.0, 4_000.0, 3_000.0)
+        assert type(floats) is float and abs(floats / float(exact) - 1) < 1e-12

@@ -3,8 +3,10 @@ every module-level private name of the package is referenced somewhere, and
 no module of the package uses the builtin ``sum``.
 
 No linter ships with the project, so this walks each module's syntax tree
-with the standard library.  ``__init__.py`` imports only to re-export and
-is skipped by the import check.  Names in string annotations count as used.
+with the standard library.  ``__init__.py`` re-imports nothing: it maps
+each export to its module and loads it on first read, and
+``tests/test_lazy_import.py`` checks that map, so the import check skips
+it.  Names in string annotations count as used.
 """
 
 import ast
