@@ -19,6 +19,7 @@ _EXPORTS = {
     "DIVERGENT": "core",
     "DomainError": "core",
     "Ecosystem": "core",
+    "LogFormatError": "core",
     "OVERSHOOTING": "core",
     "PoolState": "core",
     "Quote": "core",
@@ -42,7 +43,6 @@ _EXPORTS = {
     "trade_preservation_condition": "rebalance",
     "ArbitrageCycle": "adversary",
     "SandwichReport": "adversary",
-    "SandwichSpec": "adversary",
     "best_two_pool_arbitrage": "adversary",
     "insider_optimal_trades": "adversary",
     "no_arbitrage_certificate": "adversary",
@@ -59,7 +59,6 @@ _EXPORTS = {
     "trader_surplus_comparison": "analytics",
     "volatility_class": "analytics",
     "ILScenarioReport": "replay",
-    "LogFormatError": "replay",
     "ReplayRecord": "replay",
     "ReplaySummary": "replay",
     "ScenarioConfig": "replay",

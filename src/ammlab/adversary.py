@@ -35,21 +35,6 @@ def _other(side: str) -> str:
 
 
 @dataclass(frozen=True)
-class SandwichSpec:
-    """Front-run and victim sizes, both in the sent asset, canonical send-X."""
-
-    pool_id: str
-    victim_dx: Num
-    attack_dx: Num
-
-    def __post_init__(self):
-        if not self.victim_dx > 0:
-            raise DomainError("victim order must be positive")
-        if self.attack_dx < 0:
-            raise DomainError("attack size must be nonnegative")
-
-
-@dataclass(frozen=True)
 class SandwichReport:
     attacker_profit: Num  # back-run output minus front-run input; may be negative
     victim_out: Num
@@ -77,25 +62,31 @@ class ExploitReport:
     exploited: Tuple[str, ...]  # pools weakly down in both assets, one strictly
 
 
-def simulate_sandwich(eco: Ecosystem, spec: SandwichSpec, alg: Algorithm) -> SandwichReport:
-    """Run front-run / victim / back-run against ``spec.pool_id`` under ``alg``.
+def simulate_sandwich(eco: Ecosystem, pool_id: str, victim_dx: Num, attack_dx: Num,
+                      alg: Algorithm) -> SandwichReport:
+    """Run front-run / victim / back-run against ``pool_id`` under ``alg``.
+    Both sizes are in the sent asset, canonical send-X.
 
     The back-run sends exactly the front-run's output back to the same pool
     (the elementary shape); profit is back-run output minus front-run input.
     """
+    if not victim_dx > 0:
+        raise DomainError("victim order must be positive")
+    if attack_dx < 0:
+        raise DomainError("attack size must be nonnegative")
     trajectory = [eco]
     front_out: Num = 0
-    if spec.attack_dx > 0:
-        eco, front_out = apply_swap(eco, SwapOrder(spec.pool_id, SIDE_X, spec.attack_dx), alg)
+    if attack_dx > 0:
+        eco, front_out = apply_swap(eco, SwapOrder(pool_id, SIDE_X, attack_dx), alg)
     trajectory.append(eco)
-    eco, victim_out = apply_swap(eco, SwapOrder(spec.pool_id, SIDE_X, spec.victim_dx), alg)
+    eco, victim_out = apply_swap(eco, SwapOrder(pool_id, SIDE_X, victim_dx), alg)
     trajectory.append(eco)
     back_out: Num = 0
-    if spec.attack_dx > 0:
-        eco, back_out = apply_swap(eco, SwapOrder(spec.pool_id, SIDE_Y, front_out), alg)
+    if attack_dx > 0:
+        eco, back_out = apply_swap(eco, SwapOrder(pool_id, SIDE_Y, front_out), alg)
     trajectory.append(eco)
     return SandwichReport(
-        attacker_profit=back_out - spec.attack_dx,
+        attacker_profit=back_out - attack_dx,
         victim_out=victim_out,
         front_out=front_out,
         back_out=back_out,
@@ -120,9 +111,11 @@ def _sandwich_profit(x_i: Num, x_global: Num, victim_dx: Num, attack_dx: Num) ->
     in the denominator, and the domain is checked on those integers.  Other
     inputs (a float among them) evaluate the float expression below, with
     ints held as ``Fraction``s so that no division of an int by an int turns
-    it float.  Where its denominator could cancel, the exact quotient is
-    rounded to float instead.  A result that is not finite is a
-    ``DomainError``, as a float overflow in :func:`~ammlab.core.apply_swap` is.
+    it float.  Where its denominator could cancel, or the expression is not
+    finite, the exact quotient is rounded to float instead; it is finite,
+    since the profit lies between ``-A`` and ``V``.  An infinite or nan
+    input has no exact value: that is a ``DomainError``, as a float overflow
+    in :func:`~ammlab.core.apply_swap` is.
     """
     values = (x_i, x_global, victim_dx, attack_dx)
     exact = (type(x_i) in _EXACT and type(x_global) in _EXACT
@@ -145,20 +138,17 @@ def _sandwich_profit(x_i: Num, x_global: Num, victim_dx: Num, attack_dx: Num) ->
     t_glob = 1 + (a + v) / g
     v_g = v / g
     denom = t_loc * (1 + a / x) - v_g  # at least 1 exactly
-    if denom * 2**16 > v_g:
-        profit = (t_glob * t_loc / denom - 1) * a
-    else:
-        # The first term carries 6 roundings of u = 2**-53 and V/G one, so
-        # denom is off by up to about 7u(denom + V/G), under 7·2**-37 ≈ 5e-11
-        # of it while V/G < 2**16 denom.  Past that (or at a nan) the exact
-        # quotient is taken: a finite float is a Fraction exactly.
-        try:
-            profit = float(_sandwich_profit(*map(Fraction, (x, g, v, a))))
-        except (OverflowError, ValueError):  # an infinite or nan input has no exact value
-            profit = math.nan
-    if not math.isfinite(profit):
-        raise DomainError("sandwich profit lost to float overflow or cancellation")
-    return profit
+    # The first term carries 6 roundings of u = 2**-53 and V/G one, so denom
+    # is off by up to about 7u(denom + V/G), under 7·2**-37 ≈ 5e-11 of it
+    # while V/G < 2**16 denom.  Past that, or where the expression overflows,
+    # the exact quotient is taken: a finite float is a Fraction exactly.
+    profit = (t_glob * t_loc / denom - 1) * a if denom * 2**16 > v_g else math.nan
+    if math.isfinite(profit):
+        return profit
+    try:
+        return float(_sandwich_profit(*map(Fraction, (x, g, v, a))))
+    except (OverflowError, ValueError):  # an infinite or nan input has no exact value
+        raise DomainError("sandwich profit lost to float overflow or cancellation") from None
 
 
 def sandwich_profit_cpmm_closed(x_i: Num, victim_dx: Num, attack_dx: Num) -> Num:

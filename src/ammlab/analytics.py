@@ -24,9 +24,10 @@ VOL_HIGH = "high"
 
 
 def _price_move(r_init: Num, r_final: Num) -> Num:
-    """``max(g, 1/g)`` for ``g = r_final / r_init``: both loss measures
-    depend on nothing else.  Two ints give a ``Fraction``, as an int is
-    exact (a ``PoolState`` holds an int reserve as one)."""
+    """``max(g, 1/g)`` for ``g = r_final / r_init``: both loss measures and
+    the volatility bucket depend on nothing else.  Two ints give a
+    ``Fraction``, as an int is exact (a ``PoolState`` holds an int reserve
+    as one)."""
     if not (r_init > 0 and r_final > 0):
         raise DomainError("prices must be positive")
     if type(r_init) is int and type(r_final) is int:
@@ -75,12 +76,9 @@ def il_from_trajectory(initial: PoolState, final: PoolState, price_final: Num) -
 def volatility_class(price_first: Num, price_last: Num, lam: Num) -> str:
     """Bucket a pair by its first-to-last price move: ``high`` when the move
     exceeds a factor ``lam`` in either direction (strictly), else ``low``."""
-    if not (price_first > 0 and price_last > 0):
-        raise DomainError("prices must be positive")
+    factor = _price_move(price_first, price_last)
     if not lam > 1:
         raise DomainError("volatility threshold must exceed 1")
-    up = price_last / price_first
-    factor = up if up >= 1 else 1 / up
     return VOL_HIGH if factor > lam else VOL_LOW
 
 

@@ -25,6 +25,7 @@ from .core import (
     Algorithm,
     DomainError,
     Ecosystem,
+    LogFormatError,
     ReserveDepletionError,
     SIDE_X,
     SIDE_Y,
@@ -280,14 +281,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except LogFormatError as exc:
+        print("error: invalid log", file=sys.stderr)
+        for line, msg in exc.errors:
+            print(f"  line {line}: {msg}", file=sys.stderr)
+        return 1
     except (DomainError, ReserveDepletionError, OSError, ValueError) as exc:
-        replay = sys.modules.get(f"{__package__}.replay")  # only it raises LogFormatError
-        if replay is not None and isinstance(exc, replay.LogFormatError):
-            print("error: invalid log", file=sys.stderr)
-            for line, msg in exc.errors:
-                print(f"  line {line}: {msg}", file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

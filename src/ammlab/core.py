@@ -14,6 +14,9 @@ transition returns a new one.  Quantities can be ``fractions.Fraction``
 (exact, the reference semantics for invariant tests; an ``int`` reserve is
 held as one) or ``float`` (fast path); each function preserves whichever
 flavor it is given.
+
+The package's error types are defined here, so that every layer, and the
+command line, can name them without loading another layer.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .numeric import Num
 
@@ -47,6 +50,16 @@ class ReserveDepletionError(RuntimeError):
     Unreachable for the local and global rules (their output is strictly
     below the reserve); the naive global rule can hit it by design.
     """
+
+
+class LogFormatError(ValueError):
+    """Structured parse/validation failure of a replay log; ``errors`` is a
+    list of ``(line_number, message)`` pairs (line 1 is the header)."""
+
+    def __init__(self, errors: Sequence[Tuple[int, str]]):
+        self.errors = list(errors)
+        lines = "; ".join(f"line {ln}: {msg}" for ln, msg in self.errors)
+        super().__init__(f"{len(self.errors)} log error(s): {lines}")
 
 
 class Algorithm(Enum):

@@ -32,7 +32,7 @@ from .adversary import (
     sandwich_profit_nsplit,
 )
 from .analytics import il_cpmm, il_gmm_small_pool, volatility_class
-from .core import Algorithm, DomainError, cpmm_out
+from .core import Algorithm, DomainError, LogFormatError, cpmm_out
 from .numeric import (
     MAX_LITERAL_CHARS,
     MAX_LITERAL_EXPONENT,
@@ -64,16 +64,6 @@ ROLES = (ROLE_NORMAL, ROLE_FRONTRUN, ROLE_VICTIM, ROLE_BACKRUN)
 #: Back-run inputs are matched against the front-run's output at this
 #: relative tolerance; logs quote rounded decimals.
 BACKRUN_MATCH_RTOL = Fraction(1, 1000)
-
-
-class LogFormatError(ValueError):
-    """Structured parse/validation failure; ``errors`` is a list of
-    ``(line_number, message)`` pairs (line 1 is the header)."""
-
-    def __init__(self, errors: Sequence[Tuple[int, str]]):
-        self.errors = list(errors)
-        lines = "; ".join(f"line {ln}: {msg}" for ln, msg in self.errors)
-        super().__init__(f"{len(self.errors)} log error(s): {lines}")
 
 
 @dataclass(frozen=True, slots=True)

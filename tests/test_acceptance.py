@@ -11,7 +11,6 @@ from fractions import Fraction as F
 
 from ammlab import toy
 from ammlab.adversary import (
-    SandwichSpec,
     no_arbitrage_certificate,
     replay_exploit_sequence,
     sandwich_profit_beta,
@@ -75,12 +74,12 @@ def test_criterion_02_closed_form_simulation_equivalence():
         x_glob = x_i + extra
 
         lone = Ecosystem.from_reserves([(x_i, x_i * ratio)])
-        sim_local = simulate_sandwich(lone, SandwichSpec("amm1", victim, attack), Algorithm.CPMM)
+        sim_local = simulate_sandwich(lone, "amm1", victim, attack, Algorithm.CPMM)
         if sim_local.attacker_profit != sandwich_profit_cpmm_closed(x_i, victim, attack):
             failures.append(f"cpmm closed form != simulation at case {i}")
 
         pair = Ecosystem.from_reserves([(x_i, x_i * ratio), (extra, extra * ratio)])
-        sim_global = simulate_sandwich(pair, SandwichSpec("amm1", victim, attack), Algorithm.GMM)
+        sim_global = simulate_sandwich(pair, "amm1", victim, attack, Algorithm.GMM)
         closed = sandwich_profit_gmm_closed(x_i, x_glob, victim, attack)
         if sim_global.attacker_profit != closed:
             failures.append(f"global closed form != simulation at case {i}")
@@ -295,7 +294,7 @@ def _oracle_summary(csv_text: str, config: ScenarioConfig):
                 pools.append((x_i * beta, y_i * beta))
         eco = Ecosystem.from_reserves(pools)
         alg = Algorithm.CPMM if len(pools) == 1 else Algorithm.GMM
-        sim = simulate_sandwich(eco, SandwichSpec("amm1", e["victims"], e["attack"]), alg)
+        sim = simulate_sandwich(eco, "amm1", e["victims"], e["attack"], alg)
         profit = sim.attacker_profit
         total += profit * e["price"]
         count += 1

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ammlab import adversary
 from ammlab.adversary import (
-    SandwichSpec,
     best_two_pool_arbitrage,
     insider_final_small_reserve,
     insider_optimal_trades,
@@ -51,7 +50,7 @@ def equal_ratio_pair(x_i, x_global, ratio):
 class TestSimulateSandwich:
     def test_toy_local_attack(self):
         rep = simulate_sandwich(
-            sandwich_pool(), SandwichSpec("amm1", F(40_000), F(60_000)), Algorithm.CPMM
+            sandwich_pool(), "amm1", F(40_000), F(60_000), Algorithm.CPMM
         )
         assert float(rep.attacker_profit) == pytest.approx(10_093.46, abs=0.01)
         assert float(rep.victim_out) == pytest.approx(6.9565, abs=1e-4)
@@ -59,7 +58,7 @@ class TestSimulateSandwich:
 
     def test_toy_global_attack(self):
         rep = simulate_sandwich(
-            sandwich_pool(copies=2), SandwichSpec("amm1", F(40_000), F(60_000)), Algorithm.GMM
+            sandwich_pool(copies=2), "amm1", F(40_000), F(60_000), Algorithm.GMM
         )
         assert float(rep.attacker_profit) == pytest.approx(810.81, abs=0.01)
         # the untouched twin never moves
@@ -68,14 +67,14 @@ class TestSimulateSandwich:
 
     def test_zero_attack_is_neutral(self):
         clean = simulate_sandwich(
-            sandwich_pool(), SandwichSpec("amm1", F(40_000), F(0)), Algorithm.CPMM
+            sandwich_pool(), "amm1", F(40_000), F(0), Algorithm.CPMM
         )
         assert clean.attacker_profit == 0
         assert clean.victim_out == F(100) * 40_000 / F(440_000)
 
     def test_victim_overpayment_equals_profit(self):
         eco = sandwich_pool()
-        rep = simulate_sandwich(eco, SandwichSpec("amm1", F(40_000), F(60_000)), Algorithm.CPMM)
+        rep = simulate_sandwich(eco, "amm1", F(40_000), F(60_000), Algorithm.CPMM)
         # cost of the same output against the untouched pool
         clean_cost = F(400_000) * rep.victim_out / (100 - rep.victim_out)
         assert F(40_000) - clean_cost == rep.attacker_profit
@@ -91,7 +90,7 @@ class TestClosedForms:
     def test_local_matches_simulation_oracle(self):
         # independent oracle for the (victim 40k, attack 20k) point
         rep = simulate_sandwich(
-            sandwich_pool(), SandwichSpec("amm1", F(40_000), F(20_000)), Algorithm.CPMM
+            sandwich_pool(), "amm1", F(40_000), F(20_000), Algorithm.CPMM
         )
         closed = sandwich_profit_cpmm_closed(F(400_000), F(40_000), F(20_000))
         assert closed == rep.attacker_profit
@@ -106,7 +105,7 @@ class TestClosedForms:
         # an int is exact, as a pool reserve is: the lone pool's closed form
         # pays exactly what the three-leg simulation pays
         simulated = simulate_sandwich(Ecosystem.from_reserves([(400_000, 100)]),
-                                      SandwichSpec("amm1", 40_000, 60_000), Algorithm.CPMM)
+                                      "amm1", 40_000, 60_000, Algorithm.CPMM)
         assert simulated.attacker_profit == F(1_080_000, 107)
         for profit, exact in ((sandwich_profit_cpmm_closed(400_000, 40_000, 60_000),
                                F(1_080_000, 107)),
@@ -130,10 +129,10 @@ class TestClosedForms:
     @settings(max_examples=150, deadline=None)
     def test_closed_forms_equal_simulation_exactly(self, x_i, extra, ratio, victim, attack):
         eco = equal_ratio_pair(x_i, x_i + extra, ratio)
-        sim = simulate_sandwich(eco, SandwichSpec("amm1", victim, attack), Algorithm.GMM)
+        sim = simulate_sandwich(eco, "amm1", victim, attack, Algorithm.GMM)
         assert sim.attacker_profit == sandwich_profit_gmm_closed(x_i, x_i + extra, victim, attack)
         lone = Ecosystem.from_reserves([(x_i, x_i * ratio)])
-        sim_local = simulate_sandwich(lone, SandwichSpec("amm1", victim, attack), Algorithm.CPMM)
+        sim_local = simulate_sandwich(lone, "amm1", victim, attack, Algorithm.CPMM)
         assert sim_local.attacker_profit == sandwich_profit_cpmm_closed(x_i, victim, attack)
 
     @given(x_i=reserves, beta=st.fractions(F(0), F(20), max_denominator=100),

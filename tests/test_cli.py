@@ -270,22 +270,28 @@ class TestReplay:
     @pytest.mark.parametrize("config", [{"algorithm": "cpmm", "arithmetic": "float64"},
                                         {"algorithm": "gmm", "split_count": 5,
                                          "arithmetic": "float64"}])
-    def test_float_overflow_is_domain_error(self, capsys, tmp_path, config):
-        # the float expression overflows to nan (the rational replay reports 1e100):
-        # an error line, and neither output file is written
+    def test_float_overflow_takes_the_exact_value(self, capsys, tmp_path, config):
+        # the float expression overflows to nan: the exact quotient is taken, so
+        # the float replay reports what the rational one does (1e100 for cpmm,
+        # -6e99 split in 5) and writes both files
         log = tmp_path / "log.csv"
         log.write_text("\n".join([",".join(CSV_COLUMNS),
                                   "1,0,P,frontrun,a1,X,1e100,1e-100,1,1,1",
                                   "1,1,P,victim,a1,X,1e100,1e-100,1,1,1",
                                   "1,2,P,backrun,a1,Y,1,1,1,1,1"]) + "\n")
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(config))
-        out_file, attacks_file = tmp_path / "summary.json", tmp_path / "attacks.csv"
-        rc, out, err = run(capsys, ["replay", "--log", str(log), "--config", str(cfg),
-                                    "--out", str(out_file), "--attacks-csv", str(attacks_file)])
-        assert (rc, out) == (1, "")
-        assert err == "error: sandwich profit lost to float overflow or cancellation\n"
-        assert not out_file.exists() and not attacks_file.exists()
+        totals = []
+        for arithmetic in ("float64", "rational"):
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps(dict(config, arithmetic=arithmetic)))
+            out_file = tmp_path / f"summary-{arithmetic}.json"
+            attacks_file = tmp_path / f"attacks-{arithmetic}.csv"
+            rc, out, err = run(capsys, ["replay", "--log", str(log), "--config", str(cfg),
+                                        "--out", str(out_file),
+                                        "--attacks-csv", str(attacks_file)])
+            assert (rc, out, err) == (0, "", "")
+            assert attacks_file.exists()
+            totals.append(json.loads(out_file.read_text())["total_attacker_profit_usd"])
+        assert totals[0] == totals[1] == (1e100 if config["algorithm"] == "cpmm" else -6e99)
 
     def test_il_mode(self, capsys, tmp_path):
         log = tmp_path / "log.csv"

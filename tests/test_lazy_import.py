@@ -23,20 +23,20 @@ SRC = Path(ammlab.__file__).resolve().parent.parent
 #: The package's exports, by the module that defines each.
 EXPORTS = {
     "core": ("Algorithm", "BRANCH_CPMM", "BRANCH_NGMM", "CONVERGENT", "DIVERGENT",
-             "DomainError", "Ecosystem", "OVERSHOOTING", "PoolState", "Quote",
+             "DomainError", "Ecosystem", "LogFormatError", "OVERSHOOTING", "PoolState", "Quote",
              "ReserveDepletionError", "SIDE_X", "SIDE_Y", "SwapOrder", "apply_swap",
              "classify_swap", "cpmm_out", "gmm_out", "ngmm_out", "pool_value", "quote_order"),
     "rebalance": ("PreservationReport", "RebalanceTransfer", "balanced_arbitrage",
                   "gmm_rebal_quote", "inter_pool_quote", "rebalance_pools",
                   "trade_preservation_condition"),
-    "adversary": ("ArbitrageCycle", "SandwichReport", "SandwichSpec",
+    "adversary": ("ArbitrageCycle", "SandwichReport",
                   "best_two_pool_arbitrage", "insider_optimal_trades",
                   "no_arbitrage_certificate", "replay_exploit_sequence",
                   "sandwich_profit_beta", "sandwich_profit_cpmm_closed",
                   "sandwich_profit_gmm_closed", "sandwich_profit_nsplit", "simulate_sandwich"),
     "analytics": ("SurplusReport", "il_cpmm", "il_from_trajectory", "il_gmm_small_pool",
                   "trader_surplus_comparison", "volatility_class"),
-    "replay": ("ILScenarioReport", "LogFormatError", "ReplayRecord", "ReplaySummary",
+    "replay": ("ILScenarioReport", "ReplayRecord", "ReplaySummary",
                "ScenarioConfig", "il_portfolio_report", "parse_log", "run_counterfactual",
                "synthetic_attack_records"),
 }

@@ -623,19 +623,20 @@ class TestClosedFormsMatchOracle:
                 call()
 
     @pytest.mark.parametrize("x, victim, attack, n, finite", [
-        # (x+S)(x+A)/x**2 overflows: the expression reads nan
-        pytest.param(1e-100, 1e100, 1e100, 5, False, id="1e-100-1e+100-1e+100-5"),
+        # (x+S)(x+A)/x**2 overflows, the expression reads nan: the exact value is taken
+        pytest.param(1e-100, 1e100, 1e100, 5, True, id="1e-100-1e+100-1e+100-5"),
         # the denominator, at least 1, rounds to 0 at x_global = x: the exact value is taken
         pytest.param(1.0, 1e20, 1e-20, 1, True, id="1.0-1e+20-1e-20-1"),
     ])
     def test_float_result_must_be_finite(self, x, victim, attack, n, finite):
         exact = sandwich_profit_nsplit(F(x), n, F(victim), F(attack))
+        lone = sandwich_profit_cpmm_closed(F(x), F(victim), F(attack))  # the split's only at n = 1
         assert abs(exact) < 10**101  # in float range: only the expression overflows
-        for call in (lambda: sandwich_profit_cpmm_closed(x, victim, attack),
-                     lambda: sandwich_profit_gmm_closed(x / n, x, victim, attack),
-                     lambda: sandwich_profit_nsplit(x, n, victim, attack)):
+        for call, value in ((lambda: sandwich_profit_cpmm_closed(x, victim, attack), lone),
+                            (lambda: sandwich_profit_gmm_closed(x / n, x, victim, attack), exact),
+                            (lambda: sandwich_profit_nsplit(x, n, victim, attack), exact)):
             if finite:
-                assert call() == float(exact)
+                assert call() == float(value)
             else:
                 with pytest.raises(DomainError, match="float"):
                     call()

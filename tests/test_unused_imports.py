@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every module-level private name of the package is referenced somewhere, and
-no module of the package uses the builtin ``sum``.
+every module-level private name, and every public function and class, of
+the package is referenced somewhere, and no module of the package uses the
+builtin ``sum``.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library.  ``__init__.py`` re-imports nothing: it maps
@@ -110,6 +111,31 @@ def test_every_private_name_is_referenced():
         for name, line in _private_definitions(ast.parse(path.read_text()))
         if name not in referenced
     )
+    assert not unreferenced
+
+
+def _public_definitions(tree):
+    """``(index, name, line)`` of each public function and class a module
+    defines at its top level."""
+    for k, node in enumerate(tree.body):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield k, node.name, node.lineno
+
+
+def test_every_public_name_is_referenced():
+    # a reference inside the name's own definition (a recursive call, a
+    # method's annotation of its class) does not count
+    trees = {p: ast.parse(p.read_text()) for p in SOURCES}
+    refs = {p: _references(tree) for p, tree in trees.items()}
+    unreferenced = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        elsewhere = set().union(*(r for p, r in refs.items() if p != path))
+        parts = [_references(node) for node in trees[path].body]
+        for k, name, line in _public_definitions(trees[path]):
+            if name not in elsewhere and not any(
+                    name in refs for j, refs in enumerate(parts) if j != k):
+                unreferenced.append(f"{path.name}:{line} {name}")
     assert not unreferenced
 
 
