@@ -74,23 +74,15 @@ def simulate_sandwich(eco: Ecosystem, pool_id: str, victim_dx: Num, attack_dx: N
         raise DomainError("victim order must be positive")
     if attack_dx < 0:
         raise DomainError("attack size must be nonnegative")
-    trajectory = [eco]
-    front_out: Num = 0
-    if attack_dx > 0:
-        eco, front_out = apply_swap(eco, SwapOrder(pool_id, SIDE_X, attack_dx), alg)
-    trajectory.append(eco)
-    eco, victim_out = apply_swap(eco, SwapOrder(pool_id, SIDE_X, victim_dx), alg)
-    trajectory.append(eco)
-    back_out: Num = 0
-    if attack_dx > 0:
-        eco, back_out = apply_swap(eco, SwapOrder(pool_id, SIDE_Y, front_out), alg)
-    trajectory.append(eco)
+    after_front, front_out = apply_swap(eco, SwapOrder(pool_id, SIDE_X, attack_dx), alg)
+    after_victim, victim_out = apply_swap(after_front, SwapOrder(pool_id, SIDE_X, victim_dx), alg)
+    after_back, back_out = apply_swap(after_victim, SwapOrder(pool_id, SIDE_Y, front_out), alg)
     return SandwichReport(
         attacker_profit=back_out - attack_dx,
         victim_out=victim_out,
         front_out=front_out,
         back_out=back_out,
-        trajectory=tuple(trajectory),
+        trajectory=(eco, after_front, after_victim, after_back),
     )
 
 

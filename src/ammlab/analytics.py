@@ -43,8 +43,6 @@ def il_cpmm(r_init: Num, r_final: Num) -> Num:
     ``g = r_final / r_init``.  Symmetric in its arguments and zero only when
     they coincide."""
     g = _price_move(r_init, r_final)
-    if g == 1:
-        return 0
     root = sqrt_any(g)
     return 1 - 2 * root / (g + 1)
 

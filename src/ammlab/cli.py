@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
+import operator
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -191,24 +193,16 @@ def cmd_replay(args) -> int:
         report = stages.il_portfolio_report(records, alphas, parse_number(args.lambda_threshold))
         payload = report.to_json_dict()
     else:
-        from .replay import ScenarioConfig
+        from .replay import AttackOutcome, ScenarioConfig
 
         with open(args.config, "r", encoding="utf-8") as fh:
             config = ScenarioConfig.from_json(fh.read())
         summary = stages.run_counterfactual(records, config)
         payload = summary.to_json_dict()
         if args.attacks_csv:
-            _write_csv(
-                args.attacks_csv,
-                ["attack_id", "pair_id", "block_number", "token_in", "reserve_in",
-                 "attack_dx", "victim_dx", "profit_native", "profit_usd"],
-                [
-                    (a.attack_id, a.pair_id, a.block_number, a.token_in, a.reserve_in,
-                     a.attack_dx, a.victim_dx, a.profit_native,
-                     "" if a.profit_usd is None else a.profit_usd)
-                    for a in summary.attacks
-                ],
-            )
+            columns = [f.name for f in dataclasses.fields(AttackOutcome)]
+            _write_csv(args.attacks_csv, columns,
+                       map(operator.attrgetter(*columns), summary.attacks))
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -27,8 +27,6 @@ def sqrt_bounds(value, bits: int = 128) -> Tuple[Fraction, Fraction]:
     q = Fraction(value)
     if q < 0:
         raise ValueError("square root of a negative quantity")
-    if q == 0:
-        return Fraction(0), Fraction(0)
     num, den = q.numerator, q.denominator
     # sqrt(num/den) = sqrt(num*den)/den; scale by 4**bits before isqrt.
     scaled = num * den << (2 * bits)
@@ -49,8 +47,6 @@ def sqrt_any(value: Num):
     if isinstance(value, float):
         return math.sqrt(value)
     lo, hi = sqrt_bounds(value, bits=96)
-    if lo == hi:
-        return lo
     return (lo + hi) / 2
 
 

@@ -111,16 +111,12 @@ def inter_pool_quote(dx: Num, to_pool: str, eco: Ecosystem) -> Num:
     if dx < 0:
         raise DomainError("transfer amount must be nonnegative")
     pool = eco.pool(to_pool)
-    if dx == 0:
-        return 0
     return min(cpmm_out(dx, pool.x, pool.y), eco.ratio * dx)
 
 
 def _ratio_strictly_below(num_ratio: Num, target: Num) -> bool:
-    if not (isinstance(num_ratio, float) and isinstance(target, float)):
-        if not (isinstance(num_ratio, float) or isinstance(target, float)):
-            return num_ratio < target  # both exact
-        num_ratio, target = float(num_ratio), float(target)
+    if not (isinstance(num_ratio, float) or isinstance(target, float)):
+        return num_ratio < target  # both exact
     gap = target - num_ratio
     return gap > FLOAT_RATIO_TOL * max(abs(num_ratio), abs(target), 1e-300)
 

@@ -31,7 +31,7 @@ from .adversary import (
     sandwich_profit_cpmm_closed,
     sandwich_profit_nsplit,
 )
-from .analytics import il_cpmm, il_gmm_small_pool, volatility_class
+from .analytics import VOL_HIGH, VOL_LOW, il_cpmm, il_gmm_small_pool, volatility_class
 from .core import Algorithm, DomainError, LogFormatError, cpmm_out
 from .numeric import (
     MAX_LITERAL_CHARS,
@@ -192,7 +192,7 @@ class PairBreakdown:
     pair_id: str
     attack_count: int
     profit_native: Num
-    profit_usd: Optional[Num]
+    profit_usd: Num
     negative_count: int
 
 
@@ -215,7 +215,7 @@ class ReplaySummary:
                     "pair_id": p.pair_id,
                     "attack_count": p.attack_count,
                     "profit_native": float(p.profit_native),
-                    "profit_usd": None if p.profit_usd is None else float(p.profit_usd),
+                    "profit_usd": float(p.profit_usd),
                     "negative_count": p.negative_count,
                 }
                 for p in self.per_pair
@@ -547,7 +547,7 @@ def il_portfolio_report(
         )
 
     totals: Dict[str, dict] = {}
-    for klass in ("low", "high"):
+    for klass in (VOL_LOW, VOL_HIGH):
         members = [e for e in entries if e.volatility == klass]
         cpmm_usd, gmm = 0.0, [0.0] * len(alphas)
         for e in members:

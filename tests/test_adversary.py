@@ -71,6 +71,18 @@ class TestSimulateSandwich:
         )
         assert clean.attacker_profit == 0
         assert clean.victim_out == F(100) * 40_000 / F(440_000)
+        assert clean.front_out == clean.back_out == 0
+        assert clean.trajectory[0] is clean.trajectory[1]
+        assert clean.trajectory[2] is clean.trajectory[3]
+
+    @pytest.mark.parametrize("victim, attack, message", [
+        (F(0), F(1), "victim order must be positive"),
+        (F(-1), F(1), "victim order must be positive"),
+        (F(40_000), F(-1), "attack size must be nonnegative"),
+    ])
+    def test_sizes_are_checked(self, victim, attack, message):
+        with pytest.raises(DomainError, match=message):
+            simulate_sandwich(sandwich_pool(), "amm1", victim, attack, Algorithm.CPMM)
 
     def test_victim_overpayment_equals_profit(self):
         eco = sandwich_pool()
@@ -540,6 +552,15 @@ class TestInsiderBenchmark:
     def test_flat_price_means_no_trades(self):
         eco = Ecosystem.from_reserves([(F(100), F(400_000))] * 2)
         assert insider_optimal_trades(eco, F(4_000)) == []
+
+    @pytest.mark.parametrize("pools, r_new, message", [
+        ([(F(100), F(400_000))] * 3, F(3_000), "the benchmark is defined for one or two pools"),
+        ([(F(100), F(400_000))] * 2, F(0), "target price must be positive"),
+        ([(F(100), F(400_000))] * 2, F(-1), "target price must be positive"),
+    ])
+    def test_domain_checks(self, pools, r_new, message):
+        with pytest.raises(DomainError, match=message):
+            insider_optimal_trades(Ecosystem.from_reserves(pools), r_new)
 
     def test_mismatched_ratios_rejected(self):
         eco = Ecosystem.from_reserves([(F(100), F(400_000)), (F(100), F(300_000))])

@@ -55,6 +55,10 @@ class TestIlCpmm:
 
     def test_flat_price_is_zero(self):
         assert il_cpmm(F(1234), F(1234)) == 0
+        # a zero of the input's flavour: two ints are exact, as in a PoolState
+        for price, zero in ((2.0, 0.0), (3, F(0)), (F(3), F(0))):
+            loss = il_cpmm(price, price)
+            assert loss == zero and type(loss) is type(zero)
 
     def test_factor_four_exact(self):
         # perfect-square ratio, so the exact path gives exactly 1/5
@@ -160,6 +164,11 @@ class TestVolatilityClass:
 
     def test_boundary_is_strict(self):
         assert volatility_class(F(4000), F(40_000), F(10)) == "low"
+
+    @pytest.mark.parametrize("lam", [F(1), F(1, 2), 0])
+    def test_threshold_must_exceed_one(self, lam):
+        with pytest.raises(DomainError, match="volatility threshold must exceed 1"):
+            volatility_class(F(4000), F(3000), lam)
 
 
 class TestTraderSurplus:

@@ -264,7 +264,8 @@ class TestReplay:
         ])
         assert rc == 0
         rows = attacks_file.read_text().splitlines()
-        assert rows[0].startswith("attack_id,")
+        assert rows[0] == ("attack_id,pair_id,block_number,token_in,reserve_in,"
+                           "attack_dx,victim_dx,profit_native,profit_usd")
         assert len(rows) == 2
 
     @pytest.mark.parametrize("config", [{"algorithm": "cpmm", "arithmetic": "float64"},

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -83,6 +84,13 @@ class TestCpmmOut:
             cpmm_out(F(1), F(0), F(100))
         with pytest.raises(DomainError):
             cpmm_out(F(1), F(100), F(-1))
+
+    @pytest.mark.parametrize("dx", [F(-1), -1, -1e-300])
+    def test_negative_amount_rejected(self, dx):
+        with pytest.raises(DomainError, match="swap amount must be nonnegative"):
+            cpmm_out(dx, F(100), F(400))
+        with pytest.raises(DomainError, match="swap amount must be nonnegative"):
+            gmm_out(dx, twin_eco(), "amm1")
 
     @given(x=reserves, y=reserves, dx=amounts)
     def test_product_conserved_exactly(self, x, y, dx):
@@ -371,6 +379,11 @@ class TestAmountKernel:
     def test_order_amount_must_be_finite_and_nonnegative(self, side, amount):
         with pytest.raises(DomainError, match="amount_in"):
             SwapOrder("amm1", side, amount)
+
+    @pytest.mark.parametrize("side", ["x", "Z", "", None])
+    def test_order_side_must_be_x_or_y(self, side):
+        with pytest.raises(DomainError, match="side must be 'X' or 'Y', got " + re.escape(repr(side))):
+            SwapOrder("amm1", side, F(1))
 
     @pytest.mark.parametrize("amount", [0, 0.0, F(0), 1e308, 10**400, F(10**400, 3)])
     def test_large_and_zero_amounts_are_orders(self, amount):

@@ -20,6 +20,7 @@ from ammlab.core import (
 )
 from ammlab.numeric import sqrt_bounds
 from ammlab.rebalance import (
+    FLOAT_RATIO_TOL,
     balanced_arbitrage,
     gmm_rebal_quote,
     gmm_rebal_transfers,
@@ -144,7 +145,17 @@ class TestInterPoolQuote:
         assert inter_pool_quote(F(10), "amm1", eco) == 40_000
 
     def test_zero(self):
-        assert inter_pool_quote(F(0), "amm1", Ecosystem.from_reserves(TOY_REBAL)) == 0
+        # a zero of the input's flavour
+        zero = inter_pool_quote(F(0), "amm1", Ecosystem.from_reserves(TOY_REBAL))
+        assert zero == 0 and type(zero) is F
+        floats = Ecosystem.from_reserves([(float(x), float(y)) for x, y in TOY_REBAL])
+        zero = inter_pool_quote(0.0, "amm1", floats)
+        assert zero == 0.0 and type(zero) is float
+
+    @pytest.mark.parametrize("dx", [F(-1), -1e-300])
+    def test_negative_amount_rejected(self, dx):
+        with pytest.raises(DomainError, match="transfer amount must be nonnegative"):
+            inter_pool_quote(dx, "amm1", Ecosystem.from_reserves(TOY_REBAL))
 
     def test_low_ratio_pool_pays_local_rate(self, rng):
         # receiving pool below the global ratio: its own curve is the cheaper leg
@@ -159,6 +170,18 @@ class TestInterPoolQuote:
             quoted = inter_pool_quote(dx, pool.pool_id, eco)
             assert quoted == cpmm_out(dx, pool.x, pool.y)
             assert quoted < r * dx
+
+
+class TestRatioStrictlyBelow:
+    @pytest.mark.parametrize("gap", [F(1, 2), F(4)], ids=["inside-tol", "outside-tol"])
+    def test_exact_against_float_takes_the_float_verdict(self, gap):
+        low = F(4000, 3)
+        high = low * (1 + gap * F(FLOAT_RATIO_TOL))
+        for a, b in ((low, high), (high, low)):
+            verdict = rebalance._ratio_strictly_below(float(a), float(b))
+            assert verdict is (a < b and gap > 1)
+            assert rebalance._ratio_strictly_below(a, float(b)) is verdict
+            assert rebalance._ratio_strictly_below(float(a), b) is verdict
 
 
 class TestRebalanceLoop:

@@ -272,6 +272,20 @@ class TestScenarioConfig:
         assert ScenarioConfig.from_json(text) == ScenarioConfig(
             Algorithm.GMM, split_count=2, arithmetic="float64")
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ScenarioConfig(Algorithm.GMM, external_reserve_multiple=F(-1, 10)),
+         "reserve multiple must be nonnegative"),
+        (lambda: ScenarioConfig.from_json('{"algorithm": "gmm", "external_reserve_multiple": -1}'),
+         "reserve multiple must be nonnegative"),
+        (lambda: ScenarioConfig.from_json('{"algorithm": "gmm", "external_reserve_multiple": [1]}'),
+         "reserve multiple must be a number or a decimal string"),
+        (lambda: ScenarioConfig.from_json('{"algorithm": "gmm", "external_reserve_multiple": {}}'),
+         "reserve multiple must be a number or a decimal string"),
+    ], ids=["negative", "negative-json", "list-json", "object-json"])
+    def test_reserve_multiple_checks(self, make, message):
+        with pytest.raises(DomainError, match=message):
+            make()
+
     def test_bad_arithmetic(self):
         with pytest.raises(DomainError):
             ScenarioConfig(Algorithm.CPMM, arithmetic="decimal")
