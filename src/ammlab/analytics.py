@@ -57,8 +57,8 @@ def il_gmm_small_pool(r_init: Num, r_final: Num, alpha: Num) -> Num:
     g = _price_move(r_init, r_final)
     if not (alpha > 0 and 2 * alpha <= 1):
         raise DomainError("alpha must lie in (0, 0.5]")
-    if g == 1:
-        return 0
+    if g == 1:  # in float, inner - k need not be exactly 1: a zero of g's flavour
+        return 0 * g
     k = (1 - alpha) / alpha
     s = sqrt_any(g)  # s = sqrt(g) >= 1, the two price roots are s and 1/s
     inner = sqrt_any((s + k) * (1 / s + k))

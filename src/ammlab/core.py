@@ -398,8 +398,8 @@ def apply_swap(eco: Ecosystem, order: SwapOrder, alg: Algorithm) -> Tuple[Ecosys
     """
     idx = eco.index_of(order.pool_id)
     dx = order.amount_in
-    if dx == 0:
-        return eco, 0
+    if dx == 0:  # the same ecosystem, and a zero of the order's flavour
+        return eco, dx * 0
     pool = eco.pools[idx]
     x_i, y_i, total_x, total_y = _send_x_view(eco, pool, order.side)
     out = _out(dx, x_i, y_i, total_x, total_y, alg)

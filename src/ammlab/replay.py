@@ -20,7 +20,7 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
@@ -39,20 +39,6 @@ from .numeric import (
     Num,
     _oversized_literal,
     parse_number,
-)
-
-CSV_COLUMNS = (
-    "block_number",
-    "tx_index",
-    "pair_id",
-    "role",
-    "attack_id",
-    "token_in",
-    "amount_in",
-    "reserve_x_before",
-    "reserve_y_before",
-    "price_usd_x",
-    "price_usd_y",
 )
 
 ROLE_NORMAL = "normal"
@@ -107,6 +93,8 @@ _new = object.__new__
 (_set_block, _set_tx, _set_pair, _set_role, _set_attack, _set_token, _set_amount,
  _set_rx, _set_ry, _set_px, _set_py) = (getattr(ReplayRecord, name).__set__
                                         for name in ReplayRecord.__slots__)
+
+CSV_COLUMNS = tuple(f.name for f in fields(ReplayRecord))
 
 
 #: Keys a scenario JSON may hold; ``seed`` is accepted and ignored, for old configs.
@@ -225,13 +213,6 @@ class ReplaySummary:
         }
 
 
-def _read_text(source) -> str:
-    if isinstance(source, (bytes, bytearray)):
-        return source.decode("utf-8")
-    with open(source, "rb") as fh:
-        return fh.read().decode("utf-8")
-
-
 def _decimal(text: str, memo: Dict[str, Fraction]) -> Fraction:
     """``Fraction(text)``, memoised in ``memo``.
 
@@ -251,74 +232,90 @@ def _decimal(text: str, memo: Dict[str, Fraction]) -> Fraction:
 
 
 def parse_log(source) -> List[ReplayRecord]:
-    """Parse and validate a swap log (a path, or bytes); returns records sorted as given.
+    """Parse and validate a swap log (a path, or bytes, read as one UTF-8
+    text stream); returns records sorted as given.
 
     Raises :class:`LogFormatError` collecting every malformed row and every
-    violated attack-bracket invariant, each with its line number.
+    violated attack-bracket invariant, each with its line number; a row that
+    csv or the decoder fails to read ends the log, as one more error.
     """
-    text = _read_text(source)
-    rows = list(csv.reader(io.StringIO(text)))
+    raw = io.BytesIO(source) if isinstance(source, (bytes, bytearray)) else open(source, "rb")
+    stream = io.TextIOWrapper(raw, encoding="utf-8", newline="")
     errors: List[Tuple[int, str]] = []
-    if not rows:
-        raise LogFormatError([(1, "empty file, expected header")])
-    if tuple(rows[0]) != CSV_COLUMNS:
-        raise LogFormatError([(1, f"bad header, expected {','.join(CSV_COLUMNS)}")])
-
     memo: Dict[str, Fraction] = {}
     record = ReplayRecord._unchecked
     records: List[ReplayRecord] = []
     lines: List[int] = []
     groups: Dict[str, List[int]] = {}  # attack id -> indices into records
-    for offset, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(CSV_COLUMNS):
-            errors.append((offset, f"expected {len(CSV_COLUMNS)} columns, got {len(row)}"))
-            continue
-        (block_s, tx_s, pair_id, role, attack_id, token_in, amount_s,
-         rx_s, ry_s, px_s, py_s) = row
-        try:
-            block = int(block_s)
-            tx = int(tx_s)
-        except ValueError:
-            errors.append((offset, "block_number and tx_index must be integers"))
-            continue
-        if role not in ROLES:
-            errors.append((offset, f"unknown role {role!r}"))
-            continue
-        if token_in not in ("X", "Y"):
-            errors.append((offset, f"token_in must be X or Y, got {token_in!r}"))
-            continue
-        if (role == ROLE_NORMAL) != (attack_id == ""):
-            errors.append((offset, "attack_id must be set exactly for attack roles"))
-            continue
-        numeric = amount_s + rx_s + ry_s + px_s + py_s
-        if ((len(numeric) > MAX_LITERAL_CHARS or "e" in numeric or "E" in numeric)
-                and _oversized_literal((amount_s, rx_s, ry_s, px_s, py_s))):
-            errors.append((offset, f"numeric literal longer than {MAX_LITERAL_CHARS} "
-                                   f"characters or with an exponent beyond {MAX_LITERAL_EXPONENT}"))
-            continue
-        try:
-            amount = _decimal(amount_s, memo)
-            rx = _decimal(rx_s, memo)
-            ry = _decimal(ry_s, memo)
-            px = _decimal(px_s, memo) if px_s else None
-            py = _decimal(py_s, memo) if py_s else None
-        except (ValueError, ZeroDivisionError):
-            errors.append((offset, "non-decimal amount, reserve or price"))
-            continue
-        # denominators are positive: the sign is the numerator's
-        if amount.numerator <= 0 or rx.numerator <= 0 or ry.numerator <= 0:
-            errors.append((offset, "amounts and reserves must be positive"))
-            continue
-        if records and (block, tx) <= (records[-1].block_number, records[-1].tx_index):
-            errors.append((offset, "records must be strictly sorted by (block_number, tx_index)"))
-        if attack_id:
-            groups.setdefault(attack_id, []).append(len(records))
-        records.append(
-            record(block, tx, pair_id, role, attack_id, token_in, amount, rx, ry, px, py)
-        )
-        lines.append(offset)
+    offset = 0  # rows read: one that cannot be read is row offset + 1
+    try:
+        rows = enumerate(csv.reader(stream), start=1)
+        offset, header = next(rows, (1, None))
+        if header is None:
+            raise LogFormatError([(1, "empty file, expected header")])
+        if tuple(header) != CSV_COLUMNS:
+            raise LogFormatError([(1, f"bad header, expected {','.join(CSV_COLUMNS)}")])
+        for offset, row in rows:
+            if not row:
+                continue
+            if len(row) != len(CSV_COLUMNS):
+                errors.append((offset, f"expected {len(CSV_COLUMNS)} columns, got {len(row)}"))
+                continue
+            (block_s, tx_s, pair_id, role, attack_id, token_in, amount_s,
+             rx_s, ry_s, px_s, py_s) = row
+            try:
+                block = int(block_s)
+                tx = int(tx_s)
+            except ValueError:
+                errors.append((offset, "block_number and tx_index must be integers"))
+                continue
+            if role not in ROLES:
+                errors.append((offset, f"unknown role {role!r}"))
+                continue
+            if token_in not in ("X", "Y"):
+                errors.append((offset, f"token_in must be X or Y, got {token_in!r}"))
+                continue
+            if (role == ROLE_NORMAL) != (attack_id == ""):
+                errors.append((offset, "attack_id must be set exactly for attack roles"))
+                continue
+            numeric = amount_s + rx_s + ry_s + px_s + py_s
+            if ((len(numeric) > MAX_LITERAL_CHARS or "e" in numeric or "E" in numeric)
+                    and _oversized_literal((amount_s, rx_s, ry_s, px_s, py_s))):
+                errors.append((offset, f"numeric literal longer than {MAX_LITERAL_CHARS} "
+                                       f"characters or with an exponent beyond {MAX_LITERAL_EXPONENT}"))
+                continue
+            try:
+                amount = _decimal(amount_s, memo)
+                rx = _decimal(rx_s, memo)
+                ry = _decimal(ry_s, memo)
+                px = _decimal(px_s, memo) if px_s else None
+                py = _decimal(py_s, memo) if py_s else None
+            except (ValueError, ZeroDivisionError):
+                errors.append((offset, "non-decimal amount, reserve or price"))
+                continue
+            # denominators are positive: the sign is the numerator's
+            if amount.numerator <= 0 or rx.numerator <= 0 or ry.numerator <= 0:
+                errors.append((offset, "amounts and reserves must be positive"))
+                continue
+            if records and (block, tx) <= (records[-1].block_number, records[-1].tx_index):
+                errors.append((offset, "records must be strictly sorted by (block_number, tx_index)"))
+            if attack_id:
+                groups.setdefault(attack_id, []).append(len(records))
+            records.append(
+                record(block, tx, pair_id, role, attack_id, token_in, amount, rx, ry, px, py)
+            )
+            lines.append(offset)
+    except csv.Error as exc:
+        errors.append((offset + 1, str(exc)))
+        raise LogFormatError(errors) from None
+    except UnicodeDecodeError as exc:  # its offsets are within the decoder's chunk
+        at = raw.tell() - len(exc.object) + exc.start  # the byte's offset in the log
+        raw.seek(0)
+        errors.append((len(raw.read(at + 1).splitlines()),  # the byte's line
+                       f"not UTF-8: byte 0x{exc.object[exc.start]:02x}"))
+        raise LogFormatError(errors) from None
+    finally:
+        stream.close()
 
     for attack_id, members in groups.items():
         fronts = [i for i in members if records[i].role == ROLE_FRONTRUN]
@@ -493,6 +490,11 @@ class ILScenarioReport:
         }
 
 
+def _priced(rec: ReplayRecord) -> bool:
+    """True when both USD prices of ``rec`` are present and positive."""
+    return all(p is not None and p > 0 for p in (rec.price_usd_x, rec.price_usd_y))
+
+
 def il_portfolio_report(
     records: Sequence[ReplayRecord],
     alphas: Sequence[Num],
@@ -522,15 +524,12 @@ def il_portfolio_report(
         if len(recs) < 2:
             excluded["too_few_trades"] += 1
             continue
-        priced = [
-            r for r in recs
-            if r.price_usd_x is not None and r.price_usd_y is not None
-            and r.price_usd_x > 0 and r.price_usd_y > 0
-        ]
-        if len(priced) < 2:
+        i = next((i for i, r in enumerate(recs) if _priced(r)), None)
+        j = next((j for j in range(len(recs) - 1, -1, -1) if _priced(recs[j])), None)
+        if i == j:  # no priced record, or only one
             excluded["missing_prices"] += 1
             continue
-        first, last = priced[0], priced[-1]
+        first, last = recs[i], recs[j]
         p0 = first.price_usd_x / first.price_usd_y
         p1 = last.price_usd_x / last.price_usd_y
         hold = first.reserve_x_before * last.price_usd_x + first.reserve_y_before * last.price_usd_y

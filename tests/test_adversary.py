@@ -74,6 +74,12 @@ class TestSimulateSandwich:
         assert clean.front_out == clean.back_out == 0
         assert clean.trajectory[0] is clean.trajectory[1]
         assert clean.trajectory[2] is clean.trajectory[3]
+        # float pools pay float zeros, and still keep the ecosystem itself
+        eco = Ecosystem.from_reserves([(400_000.0, 100.0)])
+        flat = simulate_sandwich(eco, "amm1", 40_000.0, 0.0, Algorithm.CPMM)
+        for value in (flat.front_out, flat.back_out, flat.attacker_profit):
+            assert value == 0 and type(value) is float
+        assert flat.trajectory[0] is flat.trajectory[1] is eco
 
     @pytest.mark.parametrize("victim, attack, message", [
         (F(0), F(1), "victim order must be positive"),

@@ -107,6 +107,10 @@ class TestIlSmallPool:
     def test_flat_price_is_zero_for_any_share(self):
         for alpha in (F(1, 100), F(1, 4), F(1, 2)):
             assert il_gmm_small_pool(F(4000), F(4000), alpha) == 0
+        # a zero of the prices' flavour: two ints are exact, as in il_cpmm
+        for price, zero in ((2.0, 0.0), (3, F(0)), (F(3), F(0))):
+            loss = il_gmm_small_pool(price, price, 0.5)
+            assert loss == zero and type(loss) is type(zero)
 
     def test_half_share_factor_four(self):
         loss = il_gmm_small_pool(F(1000), F(4000), F(1, 2))

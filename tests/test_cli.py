@@ -373,6 +373,41 @@ class TestReplay:
         assert err.startswith("error: invalid log")
         assert "line 2: numeric literal" in err
 
+    def test_oversized_field_is_invalid_log(self, capsys, tmp_path):
+        # past csv's field limit: a log error at the row being read, not a traceback
+        log, cfg = self.write_inputs(tmp_path, {"algorithm": "cpmm"})
+        log.write_text(PART2_LOG.replace("100,1,PAIR-A,", "100,1," + "P" * 200_000 + ","))
+        rc, out, err = run(capsys, ["replay", "--log", str(log), "--il"])
+        assert (rc, out) == (1, "")
+        assert err == "error: invalid log\n  line 3: field larger than field limit (131072)\n"
+
+    def test_non_utf8_byte_is_invalid_log(self, capsys, tmp_path):
+        # deep in the file, so the decoder meets it chunks after the start:
+        # the error names the byte's own line
+        text = records_to_csv(synthetic_attack_records(20230101, 300)).encode()
+        at = text.index(b",PAIR-", 50_000) + 1
+        log = tmp_path / "log.csv"
+        log.write_bytes(text[:at] + b"\xff" + text[at + 1:])
+        rc, out, err = run(capsys, ["replay", "--log", str(log), "--il"])
+        assert (rc, out) == (1, "")
+        line = text[:at].count(b"\n") + 1
+        assert err == f"error: invalid log\n  line {line}: not UTF-8: byte 0xff\n"
+
+    @pytest.mark.parametrize("il", [True, False])
+    def test_bare_cr_log_reads_as_its_lf_twin(self, capsys, tmp_path, il):
+        text = records_to_csv(synthetic_attack_records(20230101, 40))
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"algorithm": "gmm", "external_reserve_multiple": "9/4"}')
+        flags = ["--il"] if il else ["--config", str(cfg)]
+        outputs = []
+        for name, ending in (("lf.csv", "\n"), ("cr.csv", "\r")):
+            log = tmp_path / name
+            log.write_bytes(text.replace("\n", ending).encode())
+            rc, out, err = run(capsys, ["replay", "--log", str(log), *flags])
+            assert (rc, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_small_exponent_is_accepted(self, capsys, tmp_path):
         log, cfg = self.write_inputs(tmp_path, {"algorithm": "cpmm"})
         log.write_text(PART2_LOG.replace(",60000,", ",6e4,"))

@@ -212,6 +212,12 @@ class TestApplySwap:
         eco2, out = apply_swap(eco, SwapOrder("amm1", SIDE_X, F(0)), Algorithm.GMM)
         assert out == 0
         assert eco2 == eco
+        # the same ecosystem object, and a zero of the order's flavour
+        floats = Ecosystem.from_reserves([(100.0, 400_000.0), (100.0, 400_000.0)])
+        for start, zero in ((eco, F(0)), (floats, 0.0)):
+            same, out = apply_swap(start, SwapOrder("amm1", SIDE_X, zero), Algorithm.GMM)
+            assert same is start
+            assert out == 0 and type(out) is type(zero)
 
     def test_naive_global_drain_step(self):
         eco, out = apply_swap(twin_eco(), SwapOrder("amm1", SIDE_X, F(10)), Algorithm.NGMM)

@@ -2,10 +2,11 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ammlab.adversary import (
@@ -149,6 +150,63 @@ class TestParseLog:
         records = synthetic_attack_records(seed=20230101, n_attacks=25)
         parsed = parse_log(records_to_csv(records).encode())
         assert parsed == records
+
+    @pytest.mark.parametrize("ending", ["\r", "\r\n"])
+    def test_line_endings_read_as_lf(self, ending, tmp_path):
+        text = records_to_csv(synthetic_attack_records(seed=20230101, n_attacks=25))
+        data = text.replace("\n", ending).encode()
+        path = tmp_path / "log.csv"
+        path.write_bytes(data)
+        assert parse_log(data) == parse_log(str(path)) == parse_log(text.encode())
+
+    @pytest.mark.parametrize("row, error", [
+        ("100,1," + "P" * 200_000 + ",normal,,X,5,400000,100,,",
+         "field larger than field limit (131072)"),
+        ("100,1,PAIR-\udcff,normal,,X,5,400000,100,,", "not UTF-8: byte 0xff"),
+    ])
+    def test_unreadable_row_ends_the_log(self, row, error):
+        # the rows after it are not read, so the bracket it cuts is not judged
+        data = log_text(["100,0,PAIR-A,frontrun,atk-1,X,60000,400000,100,,", row,
+                         "100,2,PAIR-A,backrun,atk-1,Y,13.0435,500000,80,,"])
+        with pytest.raises(LogFormatError) as err:
+            parse_log(data.encode("utf-8", "surrogateescape"))
+        assert err.value.errors == [(3, error)]
+
+    @pytest.mark.parametrize("header, error", [
+        ("\udcff" + HEADER, "not UTF-8: byte 0xff"),
+        ("H" * 200_000, "field larger than field limit (131072)"),
+    ])
+    def test_unreadable_header_is_line_one(self, header, error):
+        with pytest.raises(LogFormatError) as err:
+            parse_log(log_text(PART2_ROWS).replace(HEADER, header).encode("utf-8", "surrogateescape"))
+        assert err.value.errors == [(1, error)]
+
+    @pytest.mark.parametrize("ending", ["\n", "\r", "\r\n"])
+    def test_non_utf8_byte_is_reported_at_its_line(self, ending):
+        # The decoder meets the byte in a chunk that may start inside a row or
+        # just after a line end it has not passed on; zeros padding the first
+        # block number move the chunk edges across a whole row.
+        header, first, *rest = records_to_csv(synthetic_attack_records(7, 40)).split("\n")
+        for pad in range(100):
+            data = ending.join([header, "0" * pad + first, *rest]).encode()
+            at = data.index(b",", 12_000) + 1
+            with pytest.raises(LogFormatError) as err:
+                parse_log(data[:at] + b"\xff" + data[at + 1:])
+            line = data[:at].count(ending.encode()) + 1
+            assert err.value.errors == [(line, "not UTF-8: byte 0xff")]
+
+    def test_peak_memory_is_within_twice_the_records(self):
+        # one pass over one stream: no decoded copy of the log, no list of rows
+        data = records_to_csv(synthetic_attack_records(2024, 2000)).encode()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            records = parse_log(data)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == data.count(b"\n") - 1
+        assert peak - base <= 2 * (held - base)
 
 
 # synthetic_attack_records as written before it worked on integers: exact
@@ -418,6 +476,16 @@ class TestIlPortfolio:
         assert report.pairs == ()
         assert report.excluded == {"too_few_trades": 1, "missing_prices": 1}
 
+    def test_priced_ends_are_told_apart_by_position(self):
+        # one priced record among three is too few; one object listed twice is two trades
+        rows = ["100,0,PAIR-A,normal,,X,10,1000,4000000,,",
+                "101,0,PAIR-A,normal,,X,10,1000,4000000,4000,1",
+                "102,0,PAIR-A,normal,,X,10,1000,4000000,,"]
+        records = parse_log(log_text(rows).encode())
+        assert il_portfolio_report(records, [F(1, 2)], F(10)).excluded["missing_prices"] == 1
+        report = il_portfolio_report([records[1]] * 2, [F(1, 2)], F(10))
+        assert [(p.pair_id, p.il_cpmm) for p in report.pairs] == [("PAIR-A", 0)]
+
     def test_near_zero_prices_dropped(self):
         rows = self.pair_rows("PAIR-A", 100, "0", "0.0000000002")
         report = il_portfolio_report(parse_log(log_text(rows).encode()), [F(1, 2)], F(10))
@@ -471,6 +539,9 @@ class TestDecimalLiterals:
     @example("\u0663.\uff15")
     @example("\u00b2")
     def test_equals_fraction(self, text):
+        # parse_log never hands _decimal a literal over the caps, and Fraction
+        # would build a huge power of ten for one (say "0e846\u066300")
+        assume(not _oversized_literal([text]))
         try:
             value = _decimal(text, {})
         except (ValueError, ZeroDivisionError) as exc:
@@ -486,6 +557,7 @@ class TestDecimalLiterals:
     @settings(max_examples=300)
     @given(literals, st.sampled_from([6, 7, 9]))
     @example("1e101", 6)
+    @example("0e846\u066300", 6)  # Fraction alone builds 10**846300 twice
     @example("-3", 7)
     @example("0", 6)
     @example("", 10)
@@ -493,8 +565,10 @@ class TestDecimalLiterals:
         # the literal replaces the amount, a reserve or a price of a normal row
         row = "100,0,PAIR-A,normal,,X,5,400000,100,1,4000".split(",")
         row[column] = text
-        parsed = fraction_or_error(text) if text or column < 9 else None
-        if _oversized_literal([text]):
+        oversized = _oversized_literal([text])
+        # the oracle runs only within the caps, as _decimal does in parse_log
+        parsed = fraction_or_error(text) if (text or column < 9) and not oversized else None
+        if oversized:
             expected = [(2, f"numeric literal longer than 100 characters "
                             f"or with an exponent beyond 100")]
         elif isinstance(parsed, type):
