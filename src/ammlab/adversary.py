@@ -295,7 +295,7 @@ def _best_two_leg(eco: Ecosystem, alg: Algorithm,
         for d in sizes:
             # sends d/reserve of the reserve, then all of the proceeds
             legs = ((side, first, d, reserve), (_other(side), second, 1, 1))
-            value = _screened_value(eco, alg, iter(legs), cutoff, shadow)
+            value = _screened_value(eco, alg, legs, cutoff, shadow)
             if value is not None and value > cutoff and value > best:
                 best, cutoff = value, _float_floor(value)
                 winner = (side, first, second, d)
@@ -329,17 +329,15 @@ def best_two_pool_arbitrage(eco: Ecosystem, alg: Algorithm) -> ArbitrageCycle:
 _Leg = Tuple[str, int, Num, Num]
 
 
-def _cycle_legs(rng: random.Random, n_pools: int, max_legs: int) -> Iterator[_Leg]:
-    """Draws of one random closed cycle, leg by leg, as ``(side sent, pool
-    index, k, den)``: the leg sends ``k/den`` of a reserve (the opening
-    leg, ``k/128``) or of the holding of that side (``k/16``, and ``1/1``
-    for the closing leg).
+def _cycle_legs(rng: random.Random, n_pools: int, max_legs: int) -> List[_Leg]:
+    """One random closed cycle, drawn whole, as a list of ``(side sent,
+    pool index, k, den)``: the leg sends ``k/den`` of a reserve (the
+    opening leg, ``k/128``) or of the holding of that side (``k/16``, and
+    ``1/1`` for the closing leg).
 
-    Each leg is drawn only when it is asked for, so a pricing pass that
-    stops early leaves the generator where it stopped.  Every leg pays out
-    a positive amount, so a holding is empty exactly when it was never paid
-    or its last send was all of it (``k == den``): the draws never depend
-    on prices.
+    Every leg pays out a positive amount, so a holding is empty exactly when
+    it was never paid or its last send was all of it (``k == den``): the
+    draws never depend on prices, and pricing the cycle never changes them.
 
     Each value below ``n`` is ``getrandbits(n.bit_length())``, redrawn
     until it is below ``n``: what ``randint``, ``randrange`` and ``choice``
@@ -366,7 +364,7 @@ def _cycle_legs(rng: random.Random, n_pools: int, max_legs: int) -> Iterator[_Le
     k = bits(7)  # randint(1, 96)
     while k >= 96:
         k = bits(7)
-    yield side, i, k + 1, 128
+    legs = [(side, i, k + 1, 128)]
     held_start, held_other = False, True  # holdings of the start side and the other one
     for _ in range(n_legs - 2):
         r = bits(2)
@@ -381,7 +379,7 @@ def _cycle_legs(rng: random.Random, n_pools: int, max_legs: int) -> Iterator[_Le
         i = bits(k_pool)
         while i >= n_pools:
             i = bits(k_pool)
-        yield send, i, k + 1, 16
+        legs.append((send, i, k + 1, 16))
         if send == side:
             held_start, held_other = k < 15, True
         else:
@@ -390,10 +388,11 @@ def _cycle_legs(rng: random.Random, n_pools: int, max_legs: int) -> Iterator[_Le
         i = bits(k_pool)
         while i >= n_pools:
             i = bits(k_pool)
-        yield _other(side), i, 1, 1
+        legs.append((_other(side), i, 1, 1))
+    return legs
 
 
-def _cycle_value(eco: Ecosystem, alg: Algorithm, legs: Iterator[_Leg]) -> Optional[Num]:
+def _cycle_value(eco: Ecosystem, alg: Algorithm, legs: Sequence[_Leg]) -> Optional[Num]:
     """Value (in Y at the initial global ratio) of the closed cycle ``legs``
     (see :func:`_cycle_legs`), or None when a leg would drain a pool.
 
@@ -402,7 +401,7 @@ def _cycle_value(eco: Ecosystem, alg: Algorithm, legs: Iterator[_Leg]) -> Option
     back into the start asset, so the net position is a single signed
     number.
     """
-    side, i, k, den = next(legs)
+    side, i, k, den = legs[0]
     pool = eco.pools[i]
     opening = (pool.x if side == SIDE_X else pool.y) * k / den
     hold = {SIDE_X: 0, SIDE_Y: 0}
@@ -410,7 +409,7 @@ def _cycle_value(eco: Ecosystem, alg: Algorithm, legs: Iterator[_Leg]) -> Option
     try:
         work, out = apply_swap(work, SwapOrder(pool.pool_id, side, opening), alg)
         hold[_other(side)] = out
-        for send, i, k, den in legs:
+        for send, i, k, den in legs[1:]:
             amt = hold[send] * k / den
             work, out = apply_swap(work, SwapOrder(eco.pools[i].pool_id, send, amt), alg)
             hold[send] -= amt
@@ -462,17 +461,15 @@ def _shadow(eco: Ecosystem) -> Optional[_Shadow]:
     return (xs, ys), (float(eco.total_x), float(eco.total_y)), ratio
 
 
-def _screen_cycle(shadow: _Shadow, alg: Algorithm, legs: Iterator[_Leg],
-                  seen: List[_Leg]) -> Union[None, str, Tuple[float, float]]:
-    """Float pass over the cycle ``legs``, appending each leg to ``seen``
-    before pricing it.
+def _screen_cycle(shadow: _Shadow, alg: Algorithm,
+                  legs: Sequence[_Leg]) -> Union[None, str, Tuple[float, float]]:
+    """Float pass over the cycle ``legs``.
 
     Returns ``(value, err)`` with the exact cycle value within ``err`` of
     ``value``, ``_DRAINS`` when a leg certainly drains a pool, or None when
     the pass cannot bound it (a branch near a tie, the naive rule's cap
     within its error bound of a tie, a possible depletion, a bound past the
-    cap).  It stops at that point, so the exact pass prices ``seen`` and
-    then the rest of ``legs``.
+    cap).
 
     Each leg is the float image of :func:`apply_swap`: it sends ``d``,
     within relative ``rd`` of its exact value, while every reserve, total
@@ -493,9 +490,7 @@ def _screen_cycle(shadow: _Shadow, alg: Algorithm, legs: Iterator[_Leg],
     bound = _EPS
     first = True
     # max() and min() are spelled as conditionals: the same pick, without a call
-    for leg in legs:
-        seen.append(leg)
-        side_sent, i, k, den = leg
+    for side_sent, i, k, den in legs:
         s = 0 if side_sent == SIDE_X else 1
         o = 1 - s
         x = res[s][i]
@@ -586,14 +581,13 @@ def _screen_cycle(shadow: _Shadow, alg: Algorithm, legs: Iterator[_Leg],
 
 
 def _random_cycle_value(eco: Ecosystem, alg: Algorithm, rng: random.Random,
-                        max_legs: int, best: Num = 0,
-                        shadow: Optional[_Shadow] = None) -> Optional[Num]:
+                        max_legs: int, best: Num, shadow: Optional[_Shadow]) -> Optional[Num]:
     """Value of the next random cycle drawn from ``rng``, screened as in
     :func:`_screened_value`; None when it drains a pool."""
     return _screened_value(eco, alg, _cycle_legs(rng, len(eco.pools), max_legs), best, shadow)
 
 
-def _screened_value(eco: Ecosystem, alg: Algorithm, legs: Iterator[_Leg], best: Num,
+def _screened_value(eco: Ecosystem, alg: Algorithm, legs: Sequence[_Leg], best: Num,
                     shadow: Optional[_Shadow]) -> Optional[Num]:
     """Value of the closed cycle ``legs`` (see :func:`_cycle_value`), or
     None when it drains a pool.
@@ -605,9 +599,8 @@ def _screened_value(eco: Ecosystem, alg: Algorithm, legs: Iterator[_Leg], best: 
     """
     if shadow is None:
         return _cycle_value(eco, alg, legs)
-    seen: List[_Leg] = []
     try:
-        screened = _screen_cycle(shadow, alg, legs, seen)
+        screened = _screen_cycle(shadow, alg, legs)
     except (ZeroDivisionError, OverflowError):
         screened = None
     if screened is _DRAINS:
@@ -616,7 +609,7 @@ def _screened_value(eco: Ecosystem, alg: Algorithm, legs: Iterator[_Leg], best: 
         upper = screened[0] + screened[1]
         if upper <= best:  # float against Fraction compares exactly
             return upper
-    return _cycle_value(eco, alg, itertools.chain(seen, legs))
+    return _cycle_value(eco, alg, legs)
 
 
 def no_arbitrage_certificate(

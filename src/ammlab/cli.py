@@ -148,10 +148,8 @@ def cmd_sweep(args) -> int:
 
     if args.ratio is not None:
         ratios = [parse_number(args.ratio)]
-    elif args.ratio_range is not None:
-        ratios = [r for r in _parse_range(args.ratio_range) if r > 0]
     else:
-        ratios = []
+        ratios = [r for r in _parse_range(args.ratio_range) if r > 0]
     if not ratios:
         print("error: empty ratio range", file=sys.stderr)
         return 2
@@ -185,6 +183,9 @@ def cmd_toy(args) -> int:
 def cmd_replay(args) -> int:
     if not args.il and args.config is None:  # checked before a large log is parsed
         print("error: --config is required unless --il is given", file=sys.stderr)
+        return 2
+    if args.il and (args.config is not None or args.attacks_csv is not None):
+        print("error: --il takes neither --config nor --attacks-csv", file=sys.stderr)
         return 2
     stages = sys.modules[__name__]  # see _REPLAY_STAGES
     records = stages.parse_log(args.log)
@@ -245,8 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     mev.set_defaults(func=cmd_sweep)
     il = curves.add_parser("il", help="loss fraction over final/initial price ratio")
     il.add_argument("--alpha", default="0.5")
-    il.add_argument("--ratio", default=None, help="single price ratio")
-    il.add_argument("--ratio-range", default=None, help="ratios lo:hi:step")
+    ratio = il.add_mutually_exclusive_group(required=True)
+    ratio.add_argument("--ratio", default=None, help="single price ratio")
+    ratio.add_argument("--ratio-range", default=None, help="ratios lo:hi:step")
     il.add_argument("--out", default=None)
     il.set_defaults(func=cmd_sweep)
 

@@ -75,6 +75,8 @@ def _preservation(dx: Num, eco: Ecosystem) -> Tuple[bool, Num, Num, Num]:
         local_rate = pool.y / (pool.x + dx)
         gap = r - local_rate
         # local_rate < r*s/(s+dx)  <=>  local_rate*dx < s*(r - local_rate)
+        # `>=` on the left gives the same verdict: at equality r - local_rate = y*dx/(x*(x + dx)),
+        # so the right test reads s > x, that is max_product > x*y, which no ecosystem meets
         if not (ngmm_rate > local_rate and gap > 0
                 and (local_rate * dx) ** 2 < s_squared * gap * gap):
             return False, ngmm_rate, r, s_squared

@@ -513,6 +513,8 @@ def il_portfolio_report(
         raise DomainError("volatility threshold must exceed 1")
     if not all(a > 0 and 2 * a <= 1 for a in alphas):
         raise DomainError("alpha must lie in (0, 0.5]")
+    if len({str(float(a)) for a in alphas}) < len(alphas):  # the report's keys
+        raise DomainError("alphas must differ as floats")
     by_pair: Dict[str, List[ReplayRecord]] = {}
     for rec in records:
         by_pair.setdefault(rec.pair_id, []).append(rec)

@@ -13,16 +13,6 @@ def rand_eco(rng: random.Random, n_pools: int, lo: int = 10_000, hi: int = 5_000
     )
 
 
-def rand_equal_ratio_eco(rng: random.Random, n_pools: int) -> Ecosystem:
-    """Random ecosystem where every pool shares one (rational) ratio."""
-    ratio = Fraction(rng.randint(10, 100_000), rng.randint(1, 100))
-    pairs = []
-    for _ in range(n_pools):
-        x = Fraction(rng.randint(10_000, 5_000_000))
-        pairs.append((x, x * ratio))
-    return Ecosystem.from_reserves(pairs)
-
-
 @pytest.fixture
 def rng():
     return random.Random(0xA11CE)

@@ -32,7 +32,6 @@ from ammlab.core import (
     apply_swap,
     classify_swap,
     cpmm_out,
-    gmm_out,
     ngmm_out,
 )
 from ammlab.numeric import sqrt_bounds
@@ -44,7 +43,7 @@ from ammlab.replay import (
     run_counterfactual,
     synthetic_attack_records,
 )
-from conftest import rand_eco, rand_equal_ratio_eco
+from conftest import rand_eco
 
 
 def report(number: int, label: str, failures):

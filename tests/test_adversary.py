@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction as F
 
@@ -257,7 +256,7 @@ def _two_leg_value(eco, alg, side, first, second, reserve, size):
     None when it drains a pool."""
     other = SIDE_X if side == SIDE_Y else SIDE_Y
     legs = ((side, first, size, reserve), (other, second, 1, 1))
-    return adversary._cycle_value(eco, alg, iter(legs))
+    return adversary._cycle_value(eco, alg, legs)
 
 
 def _two_leg_branches(eco, alg, side, first, second, size):
@@ -427,17 +426,14 @@ class TestFloatScreen:
         assert shadow is not None
         for _ in range(12):
             legs = adversary._cycle_legs(rng, len(eco.pools), max_legs)
-            seen = []
-            screened = adversary._screen_cycle(shadow, alg, legs, seen)
-            if screened is None:  # flagged: the exact pass prices the rest
-                adversary._cycle_value(eco, alg, itertools.chain(seen, legs))
+            screened = adversary._screen_cycle(shadow, alg, legs)
+            exact = adversary._cycle_value(eco, alg, legs)
+            if screened is None:  # flagged: the exact pass prices the cycle
                 continue
             if screened is adversary._DRAINS:  # the exact pass drains a pool on the same legs
-                assert adversary._cycle_value(eco, alg, iter(seen)) is None
+                assert exact is None
                 continue
-            assert next(legs, None) is None  # a bounded pass drew the whole cycle
             value, err = screened
-            exact = adversary._cycle_value(eco, alg, iter(seen))
             assert exact is not None
             assert abs(exact - F(value)) <= F(err)
 
@@ -459,15 +455,15 @@ class TestFloatScreen:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_screened_cycles_draw_as_exact_ones(self, data):
-        # a pass that stops early (a tie, a drain) must leave the generator
-        # where the exact cycle leaves it
+        # a screen that stops early (a tie, a drain) agrees with the exact
+        # pass on a drain and leaves the generator where it leaves it
         eco, alg = _screen_case(data)
         seed = data.draw(st.integers(0, 2**16))
         shadow = adversary._shadow(eco)
         screened_rng, exact_rng = random.Random(seed), random.Random(seed)
         for _ in range(20):
             screened = adversary._random_cycle_value(eco, alg, screened_rng, 6, 0, shadow)
-            exact = adversary._random_cycle_value(eco, alg, exact_rng, 6)
+            exact = adversary._random_cycle_value(eco, alg, exact_rng, 6, 0, None)
             assert (screened is None) == (exact is None)
             assert screened_rng.getstate() == exact_rng.getstate()
 
@@ -489,12 +485,12 @@ class TestFloatScreen:
                 for d in sizes:
                     for size in (d / near, d, d * near):
                         legs = ((side, first, size, reserve), (other, second, 1, 1))
-                        screened = adversary._screen_cycle(shadow, Algorithm.GMM, iter(legs), [])
+                        screened = adversary._screen_cycle(shadow, Algorithm.GMM, legs)
                         if screened is None:
                             continue
                         checked += 1
                         value, err = screened
-                        exact = adversary._cycle_value(eco, Algorithm.GMM, iter(legs))
+                        exact = adversary._cycle_value(eco, Algorithm.GMM, legs)
                         assert abs(exact - F(value)) <= F(err)
         assert checked > 0
 
@@ -510,10 +506,40 @@ class TestFloatScreen:
         fd = xs[0] * (1 / 128)
         assert ty * fd / (tx + fd) < ys[0]
         legs = ((SIDE_X, 0, 1, 128), (SIDE_Y, 1, 1, 1))
-        seen = []
-        assert adversary._screen_cycle(shadow, Algorithm.NGMM, iter(legs), seen) is None
-        assert seen == [legs[0]]
-        assert adversary._cycle_value(eco, Algorithm.NGMM, iter(legs)) is None
+        assert adversary._screen_cycle(shadow, Algorithm.NGMM, legs) is None
+        assert adversary._cycle_value(eco, Algorithm.NGMM, legs) is None
+
+    # hand-built legs on reserves at the ends of the screened range, 2**-100
+    # and 2**100: each pass stops where its float pricing leaves the bound's
+    # assumptions, and the cycle is priced exactly
+    BIG, SMALL = F(2) ** 100, F(1, 2**100)
+
+    def assert_priced_exactly(self, eco, legs):
+        value = adversary._screened_value(eco, Algorithm.CPMM, legs, 0, adversary._shadow(eco))
+        assert value == adversary._cycle_value(eco, Algorithm.CPMM, legs)
+
+    def test_leg_that_empties_a_float_reserve_is_flagged(self):
+        # the closing leg sends about 2**99 Y into a pool holding 2**-100 X:
+        # its float output rounds to the whole reserve
+        eco = Ecosystem.from_reserves([(self.BIG, self.BIG), (self.SMALL, self.SMALL)])
+        legs = [(SIDE_X, 0, 96, 128), (SIDE_Y, 1, 1, 1)]
+        assert adversary._screen_cycle(adversary._shadow(eco), Algorithm.CPMM, legs) is None
+        self.assert_priced_exactly(eco, legs)
+
+    def test_output_below_the_floor_is_flagged(self):
+        # X out and back through a pool holding (2**100, 2**-100), with a Y
+        # leg through its mirror between: the last output is near 2**-507
+        eco = Ecosystem.from_reserves([(self.BIG, self.SMALL), (self.SMALL, self.BIG)])
+        legs = [(SIDE_X, 0, 96, 128), (SIDE_Y, 1, 1, 1), (SIDE_X, 0, 1, 1)]
+        assert adversary._screen_cycle(adversary._shadow(eco), Algorithm.CPMM, legs) is None
+        self.assert_priced_exactly(eco, legs)
+
+    def test_overflowing_leg_is_priced_exactly(self):
+        eco = Ecosystem.from_reserves([(F(1), F(1)), (F(1), F(1))])
+        legs = [(SIDE_X, 0, 10**400, 1), (SIDE_Y, 1, 1, 1)]
+        with pytest.raises(OverflowError):
+            adversary._screen_cycle(adversary._shadow(eco), Algorithm.CPMM, legs)
+        self.assert_priced_exactly(eco, legs)
 
     def test_out_of_range_reserves_are_not_screened(self):
         assert adversary._shadow(Ecosystem.from_reserves([(F(1), F(2) ** 101)])) is None
@@ -572,6 +598,18 @@ class TestInsiderBenchmark:
         eco = Ecosystem.from_reserves([(F(100), F(400_000)), (F(100), F(300_000))])
         with pytest.raises(DomainError):
             insider_optimal_trades(eco, F(3_000))
+
+    def test_float_pools_share_a_ratio_within_tolerance(self):
+        exact = Ecosystem.from_reserves([(F(300), F(1_200_000)), (F(100), F(400_000))])
+        image = Ecosystem.from_reserves([(300.0, 1_200_000.0), (100.0, 400_000.0 * (1 + 1e-12))])
+        expected = insider_optimal_trades(exact, F(3_000))
+        orders = insider_optimal_trades(image, 3_000.0)
+        assert [o.pool_id for o in orders] == [o.pool_id for o in expected]
+        for order, want in zip(orders, expected):
+            assert order.amount_in == pytest.approx(float(want.amount_in), rel=1e-9)
+        off = Ecosystem.from_reserves([(300.0, 1_200_000.0), (100.0, 400_000.0 * (1 + 1e-6))])
+        with pytest.raises(DomainError, match="benchmark pools must share a common ratio"):
+            insider_optimal_trades(off, 3_000.0)
 
     @pytest.mark.parametrize("r_new", [F(3_000), F(6_000)])
     def test_two_pool_outcome(self, r_new):

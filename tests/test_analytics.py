@@ -19,7 +19,6 @@ from ammlab.core import (
     DomainError,
     Ecosystem,
     PoolState,
-    SwapOrder,
     apply_swap,
     cpmm_out,
     pool_value,

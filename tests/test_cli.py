@@ -167,6 +167,16 @@ class TestSweep:
         assert out == ""
         assert err == "error: bad range '1:2', expected lo:hi:step\n"
 
+    @pytest.mark.parametrize("flags, error", [
+        (["--ratio", "2", "--ratio-range", "1:3:1"],
+         "error: argument --ratio-range: not allowed with argument --ratio"),
+        ([], "error: one of the arguments --ratio --ratio-range is required"),
+    ])
+    def test_il_takes_one_of_ratio_and_ratio_range(self, capsys, flags, error):
+        rc, out, err = run(capsys, ["sweep", "il", *flags])
+        assert (rc, out) == (2, "")
+        assert err.splitlines()[-1] == f"ammlab sweep il: {error}"
+
     def test_oversized_range_fails_fast(self, capsys):
         # about 1e9 points: rejected from lo:hi:step before any is built
         rc, _, err = run(capsys, [
@@ -361,6 +371,24 @@ class TestReplay:
         assert rc == 2
         assert out == ""
         assert err == "error: --config is required unless --il is given\n"
+
+    @pytest.mark.parametrize("flag", ["--config", "--attacks-csv"])
+    def test_il_flag_with_a_scenario_flag_is_usage_error_before_parsing(
+            self, capsys, tmp_path, flag):
+        # the report would never read the config nor write the attacks CSV
+        log = tmp_path / "log.csv"
+        log.write_text(PART2_LOG.replace("13.0435", "99"))
+        rc, out, err = run(capsys, ["replay", "--log", str(log), "--il",
+                                    flag, str(tmp_path / "file")])
+        assert (rc, out, err) == (2, "", "error: --il takes neither --config nor --attacks-csv\n")
+        assert not (tmp_path / "file").exists()
+
+    def test_alphas_of_one_key_are_domain_error(self, capsys, tmp_path):
+        log = tmp_path / "log.csv"
+        log.write_text(PART2_LOG)
+        for alphas in ("0.1,0.1000000000000000000001", "0.25,1/4"):
+            rc, out, err = run(capsys, ["replay", "--log", str(log), "--il", "--alphas", alphas])
+            assert (rc, out, err) == (1, "", "error: alphas must differ as floats\n")
 
     @pytest.mark.parametrize("literal", ["1e1000000", "1E-1000000", "9" * 101])
     def test_oversized_literal_is_invalid_log(self, capsys, tmp_path, literal):

@@ -4,8 +4,9 @@ results, pinned.
 ``_cycle_legs`` draws each value straight from ``getrandbits``.  The oracle
 below is the same generator written with ``randint``, ``randrange`` and
 ``choice``; CPython draws all three through ``Random._randbelow``, so both
-must yield the same legs and leave the generator in the same state, however
-many legs a consumer takes.
+must yield the same legs and leave the generator in the same state.  Each
+cycle is drawn whole before it is priced, so pricing never moves the
+generator.
 
 The certificate digest was recorded before the draws and the float screen
 were rewritten; neither may move a certificate.
@@ -49,21 +50,34 @@ def test_draws_match_the_random_module(n_pools):
         for seed in range(25):
             fast = random.Random(f"{seed}/{n_pools}/{max_legs}")
             oracle = random.Random(f"{seed}/{n_pools}/{max_legs}")
-            for cycle in range(12):
-                stop = cycle % 3  # 0: the whole cycle; 1 or 2: a consumer that stops early
+            for _ in range(12):
                 legs = adversary._cycle_legs(fast, n_pools, max_legs)
-                expected = _oracle_legs(oracle, n_pools, max_legs)
-                if stop:
-                    got = [leg for _, leg in zip(range(stop), legs)]
-                    assert got == [leg for _, leg in zip(range(stop), expected)]
-                else:
-                    assert list(legs) == list(expected)
+                assert legs == list(_oracle_legs(oracle, n_pools, max_legs))
                 assert fast.getstate() == oracle.getstate()
 
 
 def test_fewer_than_two_legs_is_a_domain_error():
     with pytest.raises(DomainError):
-        next(adversary._cycle_legs(random.Random(0), 3, 1))
+        adversary._cycle_legs(random.Random(0), 3, 1)
+
+
+@pytest.mark.parametrize("case", ["screened", "unscreened", "float image"])
+def test_pricing_never_changes_the_draws(case):
+    # under the naive rule these pools drain on many cycles, part-way
+    # through some of them; the generator still ends where 300 whole
+    # cycles leave it
+    eco = Ecosystem.from_reserves([(F(1), F(50)), (F(50), F(1)), (F(10), F(10))])
+    shadow = adversary._shadow(eco) if case == "screened" else None
+    if case == "float image":
+        eco = Ecosystem.from_reserves([(float(p.x), float(p.y)) for p in eco.pools])
+    priced, drawn = random.Random(7), random.Random(7)
+    drains = 0
+    for _ in range(300):
+        value = adversary._random_cycle_value(eco, Algorithm.NGMM, priced, 6, 0, shadow)
+        drains += value is None
+        adversary._cycle_legs(drawn, len(eco.pools), 6)
+    assert drains > 0
+    assert priced.getstate() == drawn.getstate()
 
 
 # sha256 of the repr of every certificate below, recorded before the random

@@ -491,6 +491,16 @@ class TestIlPortfolio:
         report = il_portfolio_report(parse_log(log_text(rows).encode()), [F(1, 2)], F(10))
         assert report.excluded["missing_prices"] == 1
 
+    @pytest.mark.parametrize("alphas", [[F(1, 4), 0.25], [F(1, 10), F(10**21 + 1, 10**22)]])
+    def test_alphas_of_one_key_are_rejected_before_any_pair(self, alphas):
+        # the report keys its losses by str(float(alpha)): two such alphas would share one
+        def unread():
+            raise AssertionError("a record was read")
+            yield
+
+        with pytest.raises(DomainError, match="alphas must differ as floats"):
+            il_portfolio_report(unread(), alphas, F(10))
+
 
 # Literals near the decimal grammar: signs, bare or trailing points,
 # exponents, ratios, underscores, padding and non-ASCII digits.

@@ -1,7 +1,7 @@
-"""Every name a module of the package imports is used in that module,
-every module-level private name, and every public function and class, of
-the package is referenced somewhere, and no module of the package uses the
-builtin ``sum``.
+"""Every name a module of the package, of its tests or of its scripts
+imports is used in that module, every module-level private name, and
+every public function and class, of the package is referenced somewhere,
+and no module of the package uses the builtin ``sum``.
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library.  ``__init__.py`` re-imports nothing: it maps
@@ -17,7 +17,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ammlab"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+#: Where every import must be used: the package, its tests and the scripts.
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(
+    p for d in ("tests", "scripts") for p in (ROOT / d).glob("*.py")
+)
 #: Where a private name of the package may be referenced: the package, its
 #: tests, the scripts and the benchmark harness.
 SOURCES = sorted(
@@ -56,7 +59,11 @@ def _used(tree):
     return used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def _module_id(path):
+    return path.name if path.parent == PACKAGE else path.relative_to(ROOT).as_posix()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_no_unused_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used(tree)
