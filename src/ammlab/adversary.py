@@ -339,56 +339,38 @@ def _cycle_legs(rng: random.Random, n_pools: int, max_legs: int) -> List[_Leg]:
     it was never paid or its last send was all of it (``k == den``): the
     draws never depend on prices, and pricing the cycle never changes them.
 
-    Each value below ``n`` is ``getrandbits(n.bit_length())``, redrawn
-    until it is below ``n``: what ``randint``, ``randrange`` and ``choice``
-    do through ``Random._randbelow``, so the legs and the words taken are
-    theirs, without their argument checks on every draw.
+    Each leg reads its values as mixed-radix digits of one
+    ``getrandbits(64)`` word, the opening word the leg count too, so a
+    cycle of ``n`` legs takes at most ``n`` words.  The digits of a word
+    ``w`` are ``w mod M`` written in their radices, ``M`` their product, so
+    they are within ``M / 2**64`` of uniform in total variation: summed over
+    a cycle's words, ``(960 + 4*32 + 1) * n_pools / 2**64``, about
+    ``n_pools * 2**-54``, at ``max_legs = 6``.  Uniformity is no condition
+    of correctness: every drawn cycle is a valid lower bound.
     """
     if max_legs < 2:
         raise DomainError(f"a cycle needs at least 2 legs, got max_legs={max_legs}")
     bits = rng.getrandbits
-    spread = max_legs - 1  # randint(2, max_legs)
-    k_legs = spread.bit_length()
-    k_pool = n_pools.bit_length()
-    r = bits(k_legs)
-    while r >= spread:
-        r = bits(k_legs)
-    n_legs = r + 2
-    r = bits(2)  # choice of a side
-    while r >= 2:
-        r = bits(2)
+    w, middle = divmod(bits(64), max_legs - 1)  # 0 to max_legs - 2 legs between the ends
+    w, r = divmod(w, 2)
     side = SIDE_Y if r else SIDE_X
-    i = bits(k_pool)
-    while i >= n_pools:
-        i = bits(k_pool)
-    k = bits(7)  # randint(1, 96)
-    while k >= 96:
-        k = bits(7)
-    legs = [(side, i, k + 1, 128)]
+    w, i = divmod(w, n_pools)
+    legs = [(side, i, w % 96 + 1, 128)]
     held_start, held_other = False, True  # holdings of the start side and the other one
-    for _ in range(n_legs - 2):
-        r = bits(2)
-        while r >= 2:
-            r = bits(2)
+    for _ in range(middle):
+        w, r = divmod(bits(64), 2)
         send = SIDE_Y if r else SIDE_X
         if not (held_start if send == side else held_other):
             continue
-        k = bits(5)  # randint(1, 16)
-        while k >= 16:
-            k = bits(5)
-        i = bits(k_pool)
-        while i >= n_pools:
-            i = bits(k_pool)
-        legs.append((send, i, k + 1, 16))
+        w, i = divmod(w, n_pools)
+        k = w % 16 + 1
+        legs.append((send, i, k, 16))
         if send == side:
-            held_start, held_other = k < 15, True
+            held_start, held_other = k < 16, True
         else:
-            held_start, held_other = True, k < 15
+            held_start, held_other = True, k < 16
     if held_other:
-        i = bits(k_pool)
-        while i >= n_pools:
-            i = bits(k_pool)
-        legs.append((_other(side), i, 1, 1))
+        legs.append((_other(side), bits(64) % n_pools, 1, 1))
     return legs
 
 

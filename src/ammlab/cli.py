@@ -133,7 +133,11 @@ def cmd_sweep(args) -> int:
         xi = parse_number(args.xi)
         victim = parse_number(args.victim)
         if Algorithm.parse(args.algorithm) is Algorithm.CPMM:
-            xg = xi  # a lone pool's reserves are the global ones
+            if args.x is not None:
+                print("error: cpmm sweep takes no --x (a lone pool's reserves are the global ones)",
+                      file=sys.stderr)
+                return 2
+            xg = xi
         elif args.x is None:  # gmm: the flag's choices admit no other
             print("error: gmm sweep needs --x (global reserve)", file=sys.stderr)
             return 2

@@ -511,6 +511,8 @@ def il_portfolio_report(
     # checked here, not first at a pair, so that a log without one rejects them too
     if not lam > 1:
         raise DomainError("volatility threshold must exceed 1")
+    if not alphas:
+        raise DomainError("alphas must not be empty")
     if not all(a > 0 and 2 * a <= 1 for a in alphas):
         raise DomainError("alpha must lie in (0, 0.5]")
     if len({str(float(a)) for a in alphas}) < len(alphas):  # the report's keys

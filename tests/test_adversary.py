@@ -28,6 +28,7 @@ from ammlab.core import (
     apply_swap,
     quote_order,
 )
+from ammlab.numeric import sqrt_bounds
 from ammlab.toy import _part5_orders
 
 sizes = st.fractions(min_value=F(1, 10), max_value=F(300_000), max_denominator=10**3)
@@ -328,6 +329,25 @@ class TestClosedFormTwoLeg:
         assert switches > 0
 
 
+def _golden_eco(n_pools, seed):
+    rng = random.Random(seed)
+    return Ecosystem.from_reserves(
+        [(F(rng.randint(10_000, 5_000_000)), F(rng.randint(10_000, 5_000_000)))
+         for _ in range(n_pools)]
+    )
+
+
+def _cpmm_bound(eco):
+    """The value of the best closed CPMM cycle, in Y at the initial ratio:
+    moving each X reserve to ``total_x * √k_i / Σ √k_j`` (``k_i = x_i * y_i``)
+    gives ``total_y - (Σ √k_i)**2 / total_x`` (Angeris, Evans, Chitra and
+    Boyd, *Optimal routing for constant function market makers*, EC 2022),
+    and an X-start cycle valued at the global ratio is bounded by the same.
+    Each root is the lower end of its enclosure, which only raises the bound."""
+    roots = sum(sqrt_bounds(p.x * p.y, 96)[0] for p in eco.pools)
+    return eco.total_y - roots * roots / eco.total_x
+
+
 class TestCertificate:
     def test_global_rule_certified_nonprofitable(self):
         eco = Ecosystem.from_reserves([(F(90), F(444_444)), (F(100), F(400_000))])
@@ -351,31 +371,45 @@ class TestCertificate:
         for alg in (Algorithm.CPMM, Algorithm.GMM):
             assert no_arbitrage_certificate(eco, 1_000, alg, seed=5) <= 0
 
-    # Exact certificates of 200 samples on seeded ecosystems, recorded before
-    # the random phase screened its cycles in float: the values must not move.
+    # Exact certificates of 200 samples on seeded ecosystems; the CPMM rows
+    # were recorded when each cycle leg became the digits of one 64-bit word.
     # The runs without the refined phase are the best random cycle alone, so
     # they pin the RNG stream; under the naive rule some cycles drain a pool.
     GOLDEN = [
         (Algorithm.GMM, 2, 11, True, F(0)),
         (Algorithm.GMM, 4, 13, True, F(0)),
         (Algorithm.CPMM, 3, 22, True,
-         F("1229671813807598933963838862399085145/564324292325044291839533565056")),
+         F("26830116565410324506973524636134130309635849037103377753068328533644434219446415735"
+           "/12347257238999235449855939781270705897717420127920007428931716624876027510784")),
         (Algorithm.CPMM, 2, 41, False, F("3344312429108024731/385361344643040")),
-        (Algorithm.CPMM, 3, 42, False, F("10717738206745299/75113176192")),
-        (Algorithm.CPMM, 4, 43, False, F("346803695555788588742645/149680467126371254")),
+        (Algorithm.CPMM, 3, 42, False,
+         F("146203724612414241503115557961793920643/1029730448863163367729820289245184")),
+        (Algorithm.CPMM, 4, 43, False,
+         F("412909490847233836138985796122666864110326016386060066568766147797837311962958040335301"
+           "/181955256538200921268859112156803186135917728405573410249938687024937736930951560")),
         (Algorithm.NGMM, 3, 32, True, F(0)),
         (Algorithm.NGMM, 2, 51, False, F(0)),
     ]
 
     @pytest.mark.parametrize("alg,n_pools,seed,refined,expected", GOLDEN)
     def test_golden_certificates(self, alg, n_pools, seed, refined, expected):
-        rng = random.Random(seed)
-        eco = Ecosystem.from_reserves(
-            [(F(rng.randint(10_000, 5_000_000)), F(rng.randint(10_000, 5_000_000)))
-             for _ in range(n_pools)]
-        )
+        eco = _golden_eco(n_pools, seed)
         value = no_arbitrage_certificate(eco, 200, alg, seed=seed, include_refined=refined)
         assert value == expected
+
+    @pytest.mark.parametrize("alg,n_pools,seed,refined,expected",
+                             [row for row in GOLDEN if row[0] is Algorithm.CPMM])
+    def test_golden_cpmm_certificates_lie_below_the_bound(self, alg, n_pools, seed, refined,
+                                                          expected):
+        assert 0 < expected <= _cpmm_bound(_golden_eco(n_pools, seed))
+
+    @given(pairs=st.lists(st.tuples(reserves, reserves), min_size=1, max_size=5),
+           alg=st.sampled_from(list(Algorithm)), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_certificate_is_at_most_the_closed_form_bound(self, pairs, alg, seed):
+        eco = Ecosystem.from_reserves(pairs)
+        value = no_arbitrage_certificate(eco, 60, alg, seed=seed)
+        assert value <= (_cpmm_bound(eco) if alg is Algorithm.CPMM else 0)
 
     @pytest.mark.parametrize("refined", [True, False])
     @pytest.mark.parametrize("alg", [Algorithm.CPMM, Algorithm.GMM, Algorithm.NGMM])

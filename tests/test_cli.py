@@ -138,6 +138,17 @@ class TestSweep:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("algorithm", [[], ["--algorithm", "cpmm"]])
+    def test_cpmm_takes_no_global_reserve(self, capsys, tmp_path, algorithm):
+        out_file = tmp_path / "cpmm.csv"
+        rc, out, err = run(capsys, [
+            "sweep", "mev", "--xi", "1", "--victim", "1", "--range", "1:2:1", "--x", "5",
+            "--out", str(out_file), *algorithm,
+        ])
+        assert (rc, out) == (2, "")
+        assert err == "error: cpmm sweep takes no --x (a lone pool's reserves are the global ones)\n"
+        assert not out_file.exists()
+
     def test_il_flat_ratio_is_zero(self, capsys, tmp_path):
         for alpha in ("0.01", "0.25", "0.5"):
             out_file = tmp_path / f"il_{alpha}.csv"
@@ -389,6 +400,13 @@ class TestReplay:
         for alphas in ("0.1,0.1000000000000000000001", "0.25,1/4"):
             rc, out, err = run(capsys, ["replay", "--log", str(log), "--il", "--alphas", alphas])
             assert (rc, out, err) == (1, "", "error: alphas must differ as floats\n")
+
+    @pytest.mark.parametrize("alphas", [",", ""])
+    def test_no_alphas_are_domain_error(self, capsys, tmp_path, alphas):
+        log = tmp_path / "log.csv"
+        log.write_text(PART2_LOG)
+        rc, out, err = run(capsys, ["replay", "--log", str(log), "--il", "--alphas", alphas])
+        assert (rc, out, err) == (1, "", "error: alphas must not be empty\n")
 
     @pytest.mark.parametrize("literal", ["1e1000000", "1E-1000000", "9" * 101])
     def test_oversized_literal_is_invalid_log(self, capsys, tmp_path, literal):
@@ -675,7 +693,9 @@ def _numeric_argv(draw):
     command = draw(st.sampled_from(("sweep mev", "sweep il", "quote")))
     if command == "sweep mev":
         flags = {"--xi": n(), "--victim": n(), "--range": f"{n()}:{n()}:{n()}",
-                 "--algorithm": draw(st.sampled_from(("cpmm", "gmm"))), "--x": n()}
+                 "--algorithm": draw(st.sampled_from(("cpmm", "gmm")))}
+        if flags["--algorithm"] == "gmm":  # cpmm takes no --x
+            flags["--x"] = n()
     elif command == "sweep il":
         ratio = ("--ratio", n()) if draw(st.booleans()) else ("--ratio-range", f"{n()}:{n()}:{n()}")
         flags = {"--alpha": n(), ratio[0]: ratio[1]}

@@ -496,6 +496,13 @@ class TestAlgorithmParse:
         with pytest.raises(DomainError, match="unknown algorithm 'gmm-rebal'"):
             Algorithm.parse("gmm-rebal")
 
+    @pytest.mark.parametrize("call", [apply_swap, quote_order])
+    def test_a_value_outside_the_enum_is_domain_error(self, call):
+        # the last statements of core._out and core._quote
+        eco = Ecosystem.from_reserves([(F(100), F(400_000)), (F(120), F(400_000))])
+        with pytest.raises(DomainError, match=r"^unsupported algorithm gmm$"):
+            call(eco, SwapOrder("amm1", SIDE_X, F(10)), "gmm")
+
 
 class TestEcosystemValidation:
     def test_duplicate_ids_rejected(self):

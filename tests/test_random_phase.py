@@ -1,15 +1,13 @@
 """The random phase of ``no_arbitrage_certificate``: its draws and its
 results, pinned.
 
-``_cycle_legs`` draws each value straight from ``getrandbits``.  The oracle
-below is the same generator written with ``randint``, ``randrange`` and
-``choice``; CPython draws all three through ``Random._randbelow``, so both
-must yield the same legs and leave the generator in the same state.  Each
-cycle is drawn whole before it is priced, so pricing never moves the
-generator.
+``_cycle_legs`` reads each leg's values as digits of one ``getrandbits(64)``
+word.  The tests below check the shape of every leg, that the draws reach
+every value, and that a cycle takes at most one word per leg.  Each cycle
+is drawn whole before it is priced, so pricing never moves the generator.
 
-The certificate digest was recorded before the draws and the float screen
-were rewritten; neither may move a certificate.
+The certificate digest was recorded when the draws became one word per
+leg; the float screen may not move a certificate.
 """
 
 import hashlib
@@ -23,37 +21,74 @@ from ammlab.adversary import no_arbitrage_certificate
 from ammlab.core import Algorithm, DomainError, Ecosystem, SIDE_X, SIDE_Y
 
 
-def _oracle_legs(rng, n_pools, max_legs):
-    """The leg generator as first written, on ``random.Random``'s own
-    integer draws."""
-    other = {SIDE_X: SIDE_Y, SIDE_Y: SIDE_X}
-    n_legs = rng.randint(2, max_legs)
-    side = rng.choice((SIDE_X, SIDE_Y))
-    i = rng.randrange(n_pools)
-    yield side, i, rng.randint(1, 96), 128
-    held = {side: False, other[side]: True}
-    for _ in range(n_legs - 2):
-        send = rng.choice((SIDE_X, SIDE_Y))
-        if not held[send]:
-            continue
-        k = rng.randint(1, 16)
-        yield send, rng.randrange(n_pools), k, 16
-        held[send] = k < 16
-        held[other[send]] = True
-    if held[other[side]]:
-        yield other[side], rng.randrange(n_pools), 1, 1
+_SHAPES = [(n_pools, max_legs) for n_pools in range(1, 10) for max_legs in range(2, 9)]
 
 
-@pytest.mark.parametrize("n_pools", range(1, 10))
-def test_draws_match_the_random_module(n_pools):
-    for max_legs in range(2, 9):
-        for seed in range(25):
-            fast = random.Random(f"{seed}/{n_pools}/{max_legs}")
-            oracle = random.Random(f"{seed}/{n_pools}/{max_legs}")
+def _draws():
+    """``(n_pools, max_legs, legs)`` of 12 cycles for each of 8 seeds and
+    each shape."""
+    for seed in range(8):
+        for n_pools, max_legs in _SHAPES:
+            rng = random.Random(f"{seed}/{n_pools}/{max_legs}")
             for _ in range(12):
-                legs = adversary._cycle_legs(fast, n_pools, max_legs)
-                assert legs == list(_oracle_legs(oracle, n_pools, max_legs))
-                assert fast.getstate() == oracle.getstate()
+                yield n_pools, max_legs, adversary._cycle_legs(rng, n_pools, max_legs)
+
+
+def test_every_leg_has_its_shape():
+    other = {SIDE_X: SIDE_Y, SIDE_Y: SIDE_X}
+    for n_pools, max_legs, legs in _draws():
+        assert 2 <= len(legs) <= max_legs
+        side, i, k, den = legs[0]
+        assert side in other and 0 <= i < n_pools and 1 <= k <= 96 and den == 128
+        held = {side: False, other[side]: True}
+        rest = legs[1:]
+        closing = rest[-1:] if rest[-1][3] == 1 else []
+        for send, i, k, den in rest[:len(rest) - len(closing)]:
+            assert held[send]  # no leg sends an empty holding
+            assert 0 <= i < n_pools and 1 <= k <= 16 and den == 16
+            held[send] = k < 16
+            held[other[send]] = True
+        # the closing leg sends all of the other side, present exactly when it is held
+        assert bool(closing) == held[other[side]]
+        for send, i, k, den in closing:
+            assert send == other[side] and 0 <= i < n_pools and (k, den) == (1, 1)
+
+
+def test_draws_reach_every_value():
+    pools = {n_pools: set() for n_pools, _ in _SHAPES}
+    lengths = {max_legs: set() for _, max_legs in _SHAPES}
+    opening, middle, closing = set(), set(), set()  # (side, k) of each kind of leg
+    for n_pools, max_legs, legs in _draws():
+        pools[n_pools].update(i for _, i, _, _ in legs)
+        lengths[max_legs].add(len(legs))
+        opening.add((legs[0][0], legs[0][2]))
+        for side, _, k, den in legs[1:]:
+            (middle if den == 16 else closing).add((side, k))
+    assert all(seen == set(range(n_pools)) for n_pools, seen in pools.items())
+    assert all(seen == set(range(2, max_legs + 1)) for max_legs, seen in lengths.items())
+    sides = (SIDE_X, SIDE_Y)
+    assert opening == {(side, k) for side in sides for k in range(1, 97)}
+    assert middle == {(side, k) for side in sides for k in range(1, 17)}
+    assert closing == {(side, 1) for side in sides}
+
+
+class _CountingRandom(random.Random):
+    """A generator that counts the words drawn from it."""
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("max_legs", [2, 3, 6, 8])
+def test_a_cycle_takes_at_most_one_word_per_leg(max_legs):
+    rng = _CountingRandom(max_legs)
+    for _ in range(500):
+        before = rng.words
+        legs = adversary._cycle_legs(rng, 3, max_legs)
+        assert len(legs) <= rng.words - before <= max_legs
 
 
 def test_fewer_than_two_legs_is_a_domain_error():
@@ -80,9 +115,9 @@ def test_pricing_never_changes_the_draws(case):
     assert priced.getstate() == drawn.getstate()
 
 
-# sha256 of the repr of every certificate below, recorded before the random
-# phase drew from getrandbits and screened its legs in one loop
-PINNED = "503d1ea3bf51d6f2d9e2b14f4233a0c1e426c0a060e8420c6b60ceb117d3f01e"
+# sha256 of the repr of every certificate below, recorded when each leg
+# became the digits of one 64-bit word
+PINNED = "07dddb26b086165cb40ff1463ef333fa76405aa9acd30e3b9025aec9040910e0"
 
 
 def _pinned_ecosystems():

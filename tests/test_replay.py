@@ -501,6 +501,15 @@ class TestIlPortfolio:
         with pytest.raises(DomainError, match="alphas must differ as floats"):
             il_portfolio_report(unread(), alphas, F(10))
 
+    def test_no_alphas_are_rejected_before_any_pair(self):
+        # with none the report would compare nothing: empty il_gmm maps
+        def unread():
+            raise AssertionError("a record was read")
+            yield
+
+        with pytest.raises(DomainError, match="alphas must not be empty"):
+            il_portfolio_report(unread(), [], F(10))
+
 
 # Literals near the decimal grammar: signs, bare or trailing points,
 # exponents, ratios, underscores, padding and non-ASCII digits.
